@@ -68,11 +68,31 @@ boundary (first completion or first admissible arrival) falls out of a
 cumulative sum plus ``searchsorted``, and priced epochs are memoized by
 ``(batch, context, steps, shard shape)`` so repeated epoch shapes —
 fixed-length traces, rate sweeps, replica groups sharing a workload mix —
-skip planning and pricing entirely.  This is behaviour-preserving: traces
-are bit-identical to the per-step loop, which remains available by
-constructing the simulator with ``exact_stepping=True`` (mirroring
-``SchedulePolicy(exact=True)``) and is pinned against the fast path in
-``tests/test_epoch_pricing.py``.
+skip planning and pricing entirely.  A memo hit is priced from the key
+alone (no :class:`~repro.workloads.descriptors.Workload` is built), and an
+epoch that moves no PCIe bytes replays none.  Prefill passes and chunks are
+memoized the same way, per ``(batch, input, output)`` shape: the plan and
+its ``(time, comm, h2d_bytes, d2h_bytes)`` price are computed once, and
+each use replays the two byte counts onto the run's link ledger.
+
+:class:`EngineRun` keeps the running batch **epoch-tick** style, so a
+warm decode epoch costs O(finishers) rather than O(batch).  The batch
+decodes in lockstep, so one run-level decode tick (the cumulative step
+count) stands in for every request's progress; a request's ``generated``
+is only synced where it is read (eviction, a drain, completion).  Two
+lazy-deletion heaps keyed by tick-invariant values — the completion tick
+and the context length less the tick — give the epoch shape
+``(min remaining, max context)`` from their tops and pop exactly the
+finishers, in join order; reservations move by the finishers' footprints
+and the prefix cache's change instead of being re-summed.
+
+All of this is behaviour-preserving: traces are bit-identical to the
+list-based per-step clock loop, which remains available by constructing
+the simulator with ``exact_stepping=True`` (mirroring
+``SchedulePolicy(exact=True)``; it bypasses both price memos) and is pinned
+against the fast path in ``tests/test_epoch_pricing.py`` and
+``tests/test_serving_events.py``.  ``tests/test_engine_run_batch.py``
+checks the incremental batch state against a list scan after every event.
 
 Modelling choices (all deliberate simplifications at the same granularity as
 the paper's own cost model):
@@ -90,11 +110,15 @@ the paper's own cost model):
   ``SchedulePolicy(exact=True)`` system to restore that behaviour);
 * **reservation-based admission** — admitting a request reserves its full
   ``input_len + output_len`` KV footprint against the budget (vLLM's
-  conservative no-preemption watermark), so the KV budget is never exceeded
-  mid-flight and vLLM-style preemption waves never trigger;
-* **inline prefill** — newly admitted requests are prefilled in one batched
-  prefill that stalls decoding (ORCA's prioritized prefill iterations; no
-  chunked prefill);
+  conservative watermark), so the KV budget is never exceeded mid-flight
+  and KV pressure alone never evicts running work; preemption happens
+  only by priority, when ``preemption=`` lets an arriving higher-class
+  request evict lower-class ones;
+* **prioritized prefill** — newly admitted requests are prefilled in one
+  batched pass that stalls decoding (ORCA's prioritized prefill
+  iterations), or, with ``prefill_chunk_tokens=``, in budget-sized chunks
+  with admission rounds between them; either way every admitted request
+  finishes prefill before the batch decodes;
 * **lockstep shards** — TP/PP shards advance together (collectives
   synchronize every layer or stage), so one clock drives all shards and
   communication time is part of each priced iteration.
@@ -104,6 +128,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from time import perf_counter
 
 import numpy as np
@@ -118,7 +143,7 @@ from repro.serving.trace import (
     ServingTrace,
     normalize_class_slos,
 )
-from repro.systems.memory import MemoryHierarchy
+from repro.systems.memory import MemoryHierarchy, PCIeLink
 from repro.systems.simulator import EpochTimings, InferenceSimulator
 from repro.workloads.arrivals import SLO_CLASSES, Request, RequestStream
 from repro.workloads.descriptors import Workload
@@ -134,12 +159,25 @@ def _accumulate(start: float, values: np.ndarray) -> np.ndarray:
     reproduces the exact float additions of ``clock += value`` loops —
     which keeps the fast path bit-identical to step-wise accounting.
     """
-    return np.cumsum(np.concatenate(((start,), values)))[1:]
+    return np.concatenate(((start,), values)).cumsum()[1:]
 
 
-@dataclass
+#: Stale entries an :class:`EngineRun` batch heap may hold beyond twice the
+#: running batch before it is compacted (keeps the heaps O(batch)).
+_HEAP_SLACK = 16
+
+
+@dataclass(eq=False, slots=True)
 class _RunningRequest:
     """Mutable in-flight state of one admitted request.
+
+    Wrappers compare by identity (``eq=False``): a backlog ``remove`` or
+    membership test matches the wrapper itself, never a field-wise twin.
+
+    ``generated`` is exact in the clock loop.  An :class:`EngineRun`
+    advances it lazily instead: the whole batch decodes in lockstep, so
+    ``generated`` is only synced to the run's decode tick (recorded in
+    ``tick``) where it is read — eviction, a drain, and completion.
 
     ``prefill_tokens`` is how many prompt tokens the next prefill pass must
     compute for this request: the full ``input_len`` for a fresh admission,
@@ -167,6 +205,7 @@ class _RunningRequest:
     chunk_remaining: int = 0
     prefill_chunks: int = 0
     preempting: bool = False
+    tick: int = 0
 
     @property
     def context_length(self) -> int:
@@ -514,20 +553,27 @@ class ContinuousBatchingEngine:
             simulator.schedule_cache = schedule_cache
         # Pricing caches, engine state so they survive across serve() calls
         # (a rate sweep reuses one engine per configuration).  Prefill plans
-        # are deterministic per workload shape; priced epochs are
-        # deterministic per (b, s, n, shard shape).  ReplicaGroup shares
-        # both across replicas whose simulators price identically — see
-        # adopt_pricing_caches.
+        # and their prices are deterministic per workload shape; priced
+        # epochs are deterministic per (b, s, n, shard shape).  ReplicaGroup
+        # shares them across replicas whose simulators price identically —
+        # see adopt_pricing_caches.
         self._prefill_plans: dict[tuple[int, int, int], object] = {}
-        self._epoch_cache: dict[tuple, EpochTimings] = {}
+        #: ``(time, comm, h2d_bytes, d2h_bytes)`` per prefill shape.
+        self._prefill_prices: dict[tuple[int, int, int],
+                                   tuple[float, float, float, float]] = {}
+        #: ``(timings, h2d_any, d2h_any, comm_per_step)`` per epoch shape.
+        self._epoch_cache: dict[tuple, tuple[EpochTimings, bool, bool,
+                                             float]] = {}
         self._epoch_hits = 0
         self._epoch_misses = 0
 
     def adopt_pricing_caches(self, other: "ContinuousBatchingEngine",
                              share_epochs: bool = True) -> None:
-        """Share prefill-plan (and optionally priced-epoch) caches.
+        """Share prefill-plan and -price (and optionally priced-epoch) caches.
 
-        Only valid when both engines' simulators have equal
+        Prefill prices are pure functions of the shared plans, so they are
+        shared exactly where the plans are.  Only valid when both engines'
+        simulators have equal
         :meth:`~repro.systems.simulator.InferenceSimulator.pricing_signature`
         and the engines use the same admission knobs — the caller
         (:class:`~repro.cluster.group.ReplicaGroup`) checks this, and
@@ -536,6 +582,7 @@ class ContinuousBatchingEngine:
         (:meth:`~repro.systems.simulator.InferenceSimulator.pricing_is_shape_pure`).
         """
         self._prefill_plans = other._prefill_plans
+        self._prefill_prices = other._prefill_prices
         if share_epochs:
             self._epoch_cache = other._epoch_cache
 
@@ -594,7 +641,7 @@ class ContinuousBatchingEngine:
         """
         return -(-request.max_seq_len // self.num_shards)
 
-    def _fits(self, request: Request, running: list[_RunningRequest],
+    def _fits(self, request: Request, batch_size: int,
               shard_reserved_tokens: int, shard_limit_tokens: int,
               prefix: _PrefixCache | None = None) -> bool:
         """Would admitting ``request`` fit the tightest shard right now?
@@ -606,7 +653,7 @@ class ContinuousBatchingEngine:
         is exactly the pre-session arithmetic.
         """
         if (self.max_batch_size is not None
-                and len(running) >= self.max_batch_size):
+                and batch_size >= self.max_batch_size):
             return False
         evictable = prefix.shard_total if prefix is not None else 0
         return (shard_reserved_tokens + self.shard_footprint(request)
@@ -944,8 +991,8 @@ class ContinuousBatchingEngine:
             # requests always enter the batch in arrival order.
             admitted: list[_RunningRequest] = []
             while (pending and pending[0].arrival_time <= clock
-                   and self._fits(pending[0], running, shard_reserved,
-                                  shard_limit, prefix)):
+                   and self._fits(pending[0], len(running),
+                                  shard_reserved, shard_limit, prefix)):
                 request = pending.popleft()
                 wrapper, node_delta, shard_delta = self._admit_request(
                     request, prefix, shard_reserved, shard_limit, clock)
@@ -1023,32 +1070,16 @@ class ContinuousBatchingEngine:
         The pass is sized by each request's ``prefill_tokens`` (the full
         prompt, a session turn's suffix, or a recomputed context), so a
         prefix hit shortens it; a batch of pure swap-ins (``"retain"``
-        resumes, 0 tokens each) skips it entirely.  Prefill plans are
-        deterministic per workload shape, so they are cached on the engine
-        across admission events *and* serve() calls: repeated shapes (every
-        admission in a fixed-length trace, every rate of a sweep) skip the
-        simulator's ``prepare`` — for ALISA a full offline schedule search
-        — and only re-price the plan.
+        resumes, 0 tokens each) skips it entirely.  Priced through
+        :meth:`_price_prefill`.
         """
         input_len = max(r.prefill_tokens for r in admitted)
         if input_len == 0:
             return 0.0, 0.0
-        workload = Workload(
-            batch_size=len(admitted),
-            input_len=input_len,
-            output_len=max(r.request.output_len for r in admitted),
-            name="serving-prefill",
-        )
-        key = (workload.batch_size, workload.input_len, workload.output_len)
-        plan = self._prefill_plans.get(key)
-        if plan is None:
-            self.simulator.prepare(workload)
-            plan = self.simulator.plan_prefill(workload)
-            self._prefill_plans[key] = plan
-        time = self.simulator.prefill_timing(plan, workload, memory)
-        comm = self.simulator.parallel_comm_time(workload,
-                                                 query_len=workload.input_len)
-        return time, comm
+        return self._price_prefill(
+            len(admitted), input_len,
+            max(r.request.output_len for r in admitted),
+            "serving-prefill", memory)
 
     def _chunk_time(self, parts: list[tuple[_RunningRequest, int]],
                     memory: MemoryHierarchy) -> tuple[float, float]:
@@ -1056,26 +1087,63 @@ class ContinuousBatchingEngine:
 
         A chunk is priced exactly like a prefill pass of its own shape —
         batch of the participating requests, input length of the longest
-        slice — through the same plan cache (:attr:`_prefill_plans` is
-        keyed by shape, and plans are pure per shape), so a sweep's
+        slice — through the same plan and price caches, so a sweep's
         repeated chunk shapes skip ``prepare`` just like whole prefills do.
         Returns ``(wall_clock_time, communication_time)``.
         """
-        workload = Workload(
-            batch_size=len(parts),
-            input_len=max(tokens for _, tokens in parts),
-            output_len=max(w.request.output_len for w, _ in parts),
-            name="serving-prefill-chunk",
-        )
-        key = (workload.batch_size, workload.input_len, workload.output_len)
-        plan = self._prefill_plans.get(key)
-        if plan is None:
-            self.simulator.prepare(workload)
-            plan = self.simulator.plan_prefill(workload)
-            self._prefill_plans[key] = plan
-        time = self.simulator.prefill_timing(plan, workload, memory)
-        comm = self.simulator.parallel_comm_time(workload,
-                                                 query_len=workload.input_len)
+        return self._price_prefill(
+            len(parts), max(tokens for _, tokens in parts),
+            max(w.request.output_len for w, _ in parts),
+            "serving-prefill-chunk", memory)
+
+    def _price_prefill(self, batch_size: int, input_len: int,
+                       output_len: int, name: str,
+                       memory: MemoryHierarchy) -> tuple[float, float]:
+        """Price one prefill pass of shape ``(batch, input, output)``.
+
+        Plans are deterministic per shape, so they are cached on the engine
+        across admission events *and* serve() calls: repeated shapes (every
+        admission in a fixed-length trace, every rate of a sweep) skip the
+        simulator's ``prepare`` — for ALISA a full offline schedule search.
+        The priced pass is a pure function of the plan too, so it is priced
+        once, against a scratch :class:`~repro.systems.memory.PCIeLink`,
+        and memoized as ``(time, comm, h2d_bytes, d2h_bytes)``.  Each use
+        replays the two byte counts onto ``memory.link`` — the same single
+        adds the simulator's pricing makes, so the link ledger stays
+        bit-identical.  ``exact_stepping=True`` simulators skip the price
+        memo, like they skip the epoch memo.  Returns
+        ``(wall_clock_time, communication_time)``.
+        """
+        key = (batch_size, input_len, output_len)
+        exact = self.simulator.exact_stepping
+        price = None if exact else self._prefill_prices.get(key)
+        if price is None:
+            workload = Workload(batch_size=batch_size, input_len=input_len,
+                                output_len=output_len, name=name)
+            plan = self._prefill_plans.get(key)
+            if plan is None:
+                self.simulator.prepare(workload)
+                plan = self.simulator.plan_prefill(workload)
+                self._prefill_plans[key] = plan
+            comm = self.simulator.parallel_comm_time(workload,
+                                                     query_len=input_len)
+            if exact:
+                # The reference path re-prices every pass on the run's own
+                # link, so the golden pins check the memo against it.
+                return (self.simulator.prefill_timing(plan, workload,
+                                                      memory), comm)
+            link = memory.link
+            scratch = MemoryHierarchy(
+                gpu=memory.gpu, cpu=memory.cpu,
+                link=PCIeLink(link.bandwidth_bytes_per_s, link.latency_s))
+            time = self.simulator.prefill_timing(plan, workload, scratch)
+            price = (time, comm, scratch.link.bytes_host_to_device,
+                     scratch.link.bytes_device_to_host)
+            self._prefill_prices[key] = price
+        time, comm, h2d_bytes, d2h_bytes = price
+        link = memory.link
+        link.bytes_host_to_device += h2d_bytes
+        link.bytes_device_to_host += d2h_bytes
         return time, comm
 
     def _decode_epoch(self, running: list[_RunningRequest],
@@ -1083,89 +1151,110 @@ class ContinuousBatchingEngine:
                       clock: float, memory: MemoryHierarchy,
                       sink, prefix: _PrefixCache) -> tuple[float, int, float]:
         """Decode with fixed batch composition until a completion or an
-        admissible arrival ends the epoch.
+        admissible arrival ends the epoch (clock loop only).
 
-        The epoch is priced through the vectorized fast path (memoized per
-        epoch shape) unless the simulator was built with
-        ``exact_stepping=True``, which restores the per-step Python loop;
-        both are bit-identical (pinned in ``tests/test_epoch_pricing.py``).
-        Returns ``(clock, steps, communication_time)``.
+        The batch shape is a list scan of the (always synced) wrappers —
+        the independent oracle :class:`EngineRun`'s tick heaps are pinned
+        against.  Returns ``(clock, steps, communication_time)``.
         """
-        workload = Workload(
-            batch_size=len(running),
-            input_len=max(r.context_length for r in running),
-            output_len=min(r.remaining for r in running),
-            name="serving-decode",
-        )
         # The batch composition is fixed for the whole epoch, so the FCFS
         # head's admissibility is too: the epoch can only be cut by the
         # head's arrival, and only if it would fit.
         cut_arrival = None
-        if pending and self._fits(pending[0], running, shard_reserved,
+        if pending and self._fits(pending[0], len(running), shard_reserved,
                                   shard_limit, prefix):
             cut_arrival = pending[0].arrival_time
-        if self.simulator.exact_stepping:
-            clock, steps, first_clock, comm_per_step = \
-                self._price_epoch_stepwise(workload, cut_arrival,
-                                           clock, memory)
-        else:
-            clock, steps, first_clock, comm_per_step = \
-                self._price_epoch_fast(workload, cut_arrival, clock, memory)
+        clock, steps, first_clock, comm_per_step = self._price_epoch(
+            len(running), max(r.context_length for r in running),
+            min(r.remaining for r in running), cut_arrival, clock, memory)
         self._finish_epoch(running, sink, steps, first_clock, clock, prefix)
         return clock, steps, steps * comm_per_step
 
-    def _price_epoch_fast(self, workload: Workload,
-                          cut_arrival: float | None,
+    def _price_epoch(self, batch_size: int, context_len: int,
+                     num_steps: int, cut_arrival: float | None,
+                     clock: float, memory: MemoryHierarchy,
+                     ) -> tuple[float, int, float, float]:
+        """Price one decode epoch of shape ``(b, s, n)`` from ``clock``.
+
+        The epoch runs until its ``num_steps``-th step completes the
+        shortest requests, or until the first step whose end reaches
+        ``cut_arrival`` (the earliest admissible arrival; ``None`` when no
+        arrival can end the epoch).  Priced through the vectorized fast
+        path (memoized per epoch shape) unless the simulator was built with
+        ``exact_stepping=True``, which restores the per-step Python loop;
+        both are bit-identical (pinned in ``tests/test_epoch_pricing.py``).
+        Returns ``(end_clock, steps, first_step_clock, comm_per_step)``.
+        """
+        if self.simulator.exact_stepping:
+            workload = Workload(batch_size=batch_size, input_len=context_len,
+                                output_len=num_steps, name="serving-decode")
+            return self._price_epoch_stepwise(workload, cut_arrival, clock,
+                                              memory)
+        return self._price_epoch_fast(batch_size, context_len, num_steps,
+                                      cut_arrival, clock, memory)
+
+    def _price_epoch_fast(self, batch_size: int, context_len: int,
+                          num_steps: int, cut_arrival: float | None,
                           clock: float, memory: MemoryHierarchy,
                           ) -> tuple[float, int, float, float]:
         """Vectorized epoch pricing with per-shape memoization.
 
-        One ``epoch_timings`` call prices all ``output_len`` steps as
+        One ``epoch_timings`` call prices all ``num_steps`` steps as
         arrays; the epoch boundary falls out of a cumulative sum over the
-        timing vector plus a ``searchsorted`` against ``cut_arrival`` (the
-        earliest admissible arrival, ``None`` when no arrival can end the
-        epoch) — no per-step Python loop.  Priced epochs are keyed by
+        timing vector plus a ``searchsorted`` against ``cut_arrival`` — no
+        per-step Python loop.  Priced epochs are keyed by
         ``(batch, context, steps, shard shape)``, so repeated epoch shapes
         (the common case in fixed-length traces and rate sweeps) skip
         planning *and* pricing — including the simulator's per-epoch
-        ``prepare``, which for ALISA is the offline schedule search.
+        ``prepare``, which for ALISA is the offline schedule search.  A hit
+        is priced from the key alone: the :class:`Workload` is only built
+        on a miss, and the entry records whether the epoch moves any PCIe
+        bytes so all-zero traffic is not replayed.
         """
-        key = (workload.batch_size, workload.input_len, workload.output_len,
+        key = (batch_size, context_len, num_steps,
                self.simulator.parallelism.label)
-        timings = self._epoch_cache.get(key)
-        if timings is None:
+        entry = self._epoch_cache.get(key)
+        if entry is None:
             self._epoch_misses += 1
+            workload = Workload(batch_size=batch_size, input_len=context_len,
+                                output_len=num_steps, name="serving-decode")
             self.simulator.prepare(workload)
             # Re-place the already-resident context; its prefill was charged
             # when each request was admitted, so only placement state is
             # initialized.
             self.simulator.plan_prefill(workload)
             timings = self.simulator.epoch_timings(workload, memory.link)
-            self._epoch_cache[key] = timings
+            entry = (timings, bool(np.any(timings.h2d_bytes)),
+                     bool(np.any(timings.d2h_bytes)),
+                     float(timings.comm_times[0]))
+            self._epoch_cache[key] = entry
         else:
             self._epoch_hits += 1
-        comm_per_step = float(timings.comm_times[0])
+        timings, h2d_any, d2h_any, comm_per_step = entry
 
-        num_steps = workload.output_len
         clocks = _accumulate(clock, timings.total_times)
         steps = num_steps
         if cut_arrival is not None:
             # First step whose post-step clock reaches the cut arrival; the
             # final step always completes requests first, so only earlier
             # steps can end the epoch by admission.
-            cut = int(np.searchsorted(clocks[:num_steps - 1],
-                                      cut_arrival, side="left"))
+            cut = int(clocks[:num_steps - 1].searchsorted(cut_arrival,
+                                                          side="left"))
             if cut < num_steps - 1:
                 steps = cut + 1
         # Replay the steps' PCIe traffic onto the serve-level link ledger
-        # (sequential adds, identical to per-step recording).
+        # (sequential adds, identical to per-step recording).  All-zero
+        # traffic is skipped: adding 0.0 to the non-negative ledger is
+        # exact, so the skip cannot change it.
         link = memory.link
-        link.bytes_host_to_device = float(
-            _accumulate(link.bytes_host_to_device,
-                        timings.h2d_bytes[:steps])[-1])
-        link.bytes_device_to_host = float(
-            _accumulate(link.bytes_device_to_host,
-                        timings.d2h_bytes[:steps])[-1])
+        if h2d_any:
+            link.bytes_host_to_device = float(
+                _accumulate(link.bytes_host_to_device,
+                            timings.h2d_bytes[:steps])[-1])
+        if d2h_any:
+            link.bytes_device_to_host = float(
+                _accumulate(link.bytes_device_to_host,
+                            timings.d2h_bytes[:steps])[-1])
         return (float(clocks[steps - 1]), steps, float(clocks[0]),
                 comm_per_step)
 
@@ -1196,18 +1285,15 @@ class ContinuousBatchingEngine:
                       sink, steps: int, first_clock: float,
                       end_clock: float,
                       prefix: _PrefixCache | None = None) -> None:
-        """Apply an epoch's effects to the batch and record completions.
+        """Apply an epoch's effects to the clock loop's batch list.
 
-        All running requests decrement uniformly, so the finishers are
-        exactly the requests whose remaining output equalled the steps
-        taken, and first tokens land at the epoch's first cumulative clock
-        — no per-step scan of the batch is needed.  A finishing non-final
-        session turn hands its KV to the prefix cache instead of freeing it
-        (when ``prefix_reuse`` is on).  ``sink`` is anything with
-        ``observe(record)``: a :class:`~repro.serving.trace.ServingTrace`,
-        a :class:`~repro.serving.sketches.StreamingTrace`, or an
-        :class:`EngineRun` fanning records out to both a trace and a
-        cluster-level sink.
+        Clock loop only — :class:`EngineRun` applies epochs through its
+        tick heaps (:meth:`EngineRun._apply_epoch`), and this list-based
+        body stays as the independent reference the golden pins compare
+        it against.  All running requests decrement uniformly, so the
+        finishers are exactly the requests whose remaining output equalled
+        the steps taken, and first tokens land at the epoch's first
+        cumulative clock.
         """
         for request in running:
             request.generated += steps
@@ -1215,30 +1301,44 @@ class ContinuousBatchingEngine:
                 request.first_token_time = first_clock
         finished = [r for r in running if r.remaining <= 0]
         for done in finished:
-            request = done.request
-            if (prefix is not None and self.prefix_reuse
-                    and getattr(request, "final_turn", True) is False):
-                prefix.retain(request.session_id, request.max_seq_len,
-                              self.shard_footprint(request))
-            sink.observe(RequestRecord(
-                request_id=request.request_id,
-                arrival_time=request.arrival_time,
-                admission_time=done.admission_time,
-                first_token_time=done.first_token_time,
-                completion_time=end_clock,
-                input_len=request.input_len,
-                output_len=request.output_len,
-                slo_class=request.slo_class,
-                prefix_len=getattr(request, "prefix_len", 0),
-                prefix_hit=done.prefix_hit,
-                preemptions=done.preemptions,
-                preempting=done.preempting,
-                prefill_chunks=done.prefill_chunks,
-            ))
+            self._complete(done, sink, end_clock, prefix)
         if finished:
             # The epoch ends here; serve() recomputes the reservation
             # totals from the surviving batch before the next admission.
             running[:] = [r for r in running if r.remaining > 0]
+
+    def _complete(self, done: _RunningRequest, sink, end_clock: float,
+                  prefix: _PrefixCache | None) -> None:
+        """Record one finished request at ``end_clock``.
+
+        A finishing non-final session turn hands its KV to the prefix cache
+        instead of freeing it (when ``prefix_reuse`` is on).  ``sink`` is
+        anything with ``observe(record)``: a
+        :class:`~repro.serving.trace.ServingTrace`, a
+        :class:`~repro.serving.sketches.StreamingTrace`, or an
+        :class:`EngineRun` fanning records out to both a trace and a
+        cluster-level sink.
+        """
+        request = done.request
+        if (prefix is not None and self.prefix_reuse
+                and getattr(request, "final_turn", True) is False):
+            prefix.retain(request.session_id, request.max_seq_len,
+                          self.shard_footprint(request))
+        sink.observe(RequestRecord(
+            request_id=request.request_id,
+            arrival_time=request.arrival_time,
+            admission_time=done.admission_time,
+            first_token_time=done.first_token_time,
+            completion_time=end_clock,
+            input_len=request.input_len,
+            output_len=request.output_len,
+            slo_class=request.slo_class,
+            prefix_len=getattr(request, "prefix_len", 0),
+            prefix_hit=done.prefix_hit,
+            preemptions=done.preemptions,
+            preempting=done.preempting,
+            prefill_chunks=done.prefill_chunks,
+        ))
 
 
 class EngineRun:
@@ -1284,7 +1384,21 @@ class EngineRun:
         self._shard_limit = min(self._shard_budgets)
         self._memory = MemoryHierarchy.from_hardware(engine.simulator.hardware)
         self._pending: deque[Request] = deque()
-        self._running: list[_RunningRequest] = []
+        #: The running batch, keyed by join sequence number: insertion
+        #: (join) order is the clock loop's list order, and a finisher or
+        #: victim leaves in O(1).  The batch decodes in lockstep, so each
+        #: wrapper's progress is ``_num_steps - wrapper.tick`` past its
+        #: synced ``generated``; the two lazy-deletion heaps hold the
+        #: tick-invariant ``(completion tick, seq, wrapper)`` and
+        #: ``(-context base, seq, wrapper)`` entries the epoch shape is
+        #: read from (an entry is live iff its seq is still running).
+        self._running: dict[int, _RunningRequest] = {}
+        self._join_seq = 0
+        self._finish_heap: list[tuple[int, int, _RunningRequest]] = []
+        self._context_heap: list[tuple[int, int, _RunningRequest]] = []
+        #: ``(seq, wrapper)`` of joins since the last epoch: the only
+        #: wrappers that can still lack a first-token time.
+        self._joined: list[tuple[int, _RunningRequest]] = []
         self._prefix = _PrefixCache()
         #: Priority scheduling state (``engine.preemption`` set): one FCFS
         #: queue per SLO class, plus the wrappers of preempted requests
@@ -1534,8 +1648,9 @@ class EngineRun:
                 wrapper = None
             interrupted.append((fail_clock, request, wrapper))
         ready = fail_clock
-        for wrapper in self._running:
+        for wrapper in self._running.values():
             if mode == "drain":
+                self._sync(wrapper)
                 resident = wrapper.context_length - wrapper.chunk_remaining
                 if resident > 0:
                     num_bytes = engine.simulator.cost_model.kv_bytes(
@@ -1549,6 +1664,9 @@ class EngineRun:
             else:
                 interrupted.append((fail_clock, wrapper.request, None))
         self._running.clear()
+        self._finish_heap.clear()
+        self._context_heap.clear()
+        self._joined.clear()
         self._preempted.clear()
         self._prefill_backlog.clear()
         self._prefix.flush()
@@ -1621,8 +1739,9 @@ class EngineRun:
         pending, running = self._pending, self._running
         admitted: list[_RunningRequest] = []
         while (pending and pending[0].arrival_time <= self._clock
-               and engine._fits(pending[0], running, self._shard_reserved,
-                                self._shard_limit, self._prefix)):
+               and engine._fits(pending[0], len(running),
+                                self._shard_reserved, self._shard_limit,
+                                self._prefix)):
             admitted.append(self._admit_one(pending.popleft()))
         return admitted
 
@@ -1648,7 +1767,7 @@ class EngineRun:
             if candidate_queue is None:
                 break
             candidate = candidate_queue[0]
-            if engine._fits(candidate, running, self._shard_reserved,
+            if engine._fits(candidate, len(running), self._shard_reserved,
                             self._shard_limit, self._prefix):
                 admitted.append(self._admit_one(candidate_queue.popleft()))
             elif self._can_preempt(candidate):
@@ -1663,7 +1782,7 @@ class EngineRun:
         if self._num_preemptions and admitted:
             # A same-cycle preemption may have evicted a request admitted
             # moments earlier; it must not be prefilled as admitted.
-            still_running = {id(r) for r in running}
+            still_running = {id(r) for r in running.values()}
             admitted = [r for r in admitted if id(r) in still_running]
         return admitted
 
@@ -1687,7 +1806,7 @@ class EngineRun:
                 self._clock += self._memory.link.host_to_device(num_bytes)
                 self._swap_bytes += num_bytes
                 wrapper.swap_tokens = 0
-            self._running.append(wrapper)
+            self._join(wrapper)
             if self._obs:
                 for ob in self._obs:
                     ob.on_admission(self.replica, self._clock, request,
@@ -1699,7 +1818,7 @@ class EngineRun:
             self._clock)
         self._reserved += node_delta
         self._shard_reserved += shard_delta
-        self._running.append(wrapper)
+        self._join(wrapper)
         if self._obs:
             for ob in self._obs:
                 ob.on_admission(self.replica, self._clock, request,
@@ -1713,7 +1832,7 @@ class EngineRun:
         engine = self.engine
         rank = SLO_CLASSES.index
         candidate_rank = rank(candidate.slo_class)
-        victims = [r for r in self._running
+        victims = [r for r in self._running.values()
                    if rank(r.request.slo_class) > candidate_rank]
         if not victims:
             return False
@@ -1738,20 +1857,20 @@ class EngineRun:
         rank = SLO_CLASSES.index
         candidate_rank = rank(candidate.slo_class)
         running = self._running
-        for index in range(len(running) - 1, -1, -1):
-            victim = running[index]
+        for seq, victim in reversed(list(running.items())):
             if rank(victim.request.slo_class) <= candidate_rank:
                 continue
-            self._evict(victim, index)
-            if engine._fits(candidate, running, self._shard_reserved,
+            self._evict(seq, victim)
+            if engine._fits(candidate, len(running), self._shard_reserved,
                             self._shard_limit, self._prefix):
                 return
 
-    def _evict(self, victim: _RunningRequest, index: int) -> None:
+    def _evict(self, seq: int, victim: _RunningRequest) -> None:
         engine = self.engine
         request = victim.request
         evict_start = self._clock
-        del self._running[index]
+        del self._running[seq]
+        self._sync(victim)
         self._reserved -= request.max_seq_len
         self._shard_reserved -= engine.shard_footprint(request)
         victim.preemptions += 1
@@ -1824,7 +1943,7 @@ class EngineRun:
         engine = self.engine
         if not self._priority:
             pending = self._pending
-            if pending and engine._fits(pending[0], self._running,
+            if pending and engine._fits(pending[0], len(self._running),
                                         self._shard_reserved,
                                         self._shard_limit, self._prefix):
                 return pending[0].arrival_time, False
@@ -1837,8 +1956,9 @@ class EngineRun:
             head = queue[0]
             if head.arrival_time <= self._clock:
                 break
-            fits = engine._fits(head, self._running, self._shard_reserved,
-                                self._shard_limit, self._prefix)
+            fits = engine._fits(head, len(self._running),
+                                self._shard_reserved, self._shard_limit,
+                                self._prefix)
             if fits or self._can_preempt(head):
                 if best is None or head.arrival_time < best[0]:
                     best = (head.arrival_time, not fits)
@@ -1889,25 +2009,16 @@ class EngineRun:
                                     chunk_parts)
 
     def _schedule_epoch(self) -> tuple[float, str]:
-        engine = self.engine
-        running = self._running
-        workload = Workload(
-            batch_size=len(running),
-            input_len=max(r.context_length for r in running),
-            output_len=min(r.remaining for r in running),
-            name="serving-decode",
-        )
+        num_steps, context_len = self._epoch_shape()
         self._num_epochs += 1
         cut_arrival, needs_preemption = self._cut_arrival()
-        price = (engine._price_epoch_stepwise
-                 if engine.simulator.exact_stepping
-                 else engine._price_epoch_fast)
-        end, steps, first, comm_per_step = price(
-            workload, cut_arrival, self._clock, self._memory)
+        end, steps, first, comm_per_step = self.engine._price_epoch(
+            len(self._running), context_len, num_steps, cut_arrival,
+            self._clock, self._memory)
         # The final step of a full epoch completes its shortest requests; a
         # shorter epoch was cut by an arrival — one that will preempt, or
         # one that simply fits.
-        if steps == workload.output_len:
+        if steps == num_steps:
             kind = COMPLETION
         elif needs_preemption:
             kind = PREEMPTION
@@ -1918,25 +2029,101 @@ class EngineRun:
 
     def _apply_epoch(self, kind: str, end: float, steps: int, first: float,
                      comm_per_step: float) -> None:
+        """Advance the decode tick and retire exactly the finishers.
+
+        The event-path counterpart of the clock loop's
+        :meth:`ContinuousBatchingEngine._finish_epoch`, in O(finishers):
+        only wrappers that joined since the last epoch are stamped with a
+        first token, finishers are popped off the completion heap in join
+        order (so records reach the sinks in the clock loop's order), and
+        the reservation totals drop by the finishers' footprints plus the
+        prefix cache's change instead of being re-summed.
+        """
         engine = self.engine
         epoch_start = self._clock
         self._clock = end
         self._num_steps += steps
         self._comm_time += steps * comm_per_step
+        running = self._running
         if self._obs:
-            # Before _finish_epoch: the batch here is the epoch's actual
+            # Before completions: the batch here is the epoch's actual
             # composition (completions leave via observe → on_completion).
-            batch = [r.request for r in self._running]
+            batch = [r.request for r in running.values()]
             for ob in self._obs:
                 ob.on_epoch(self.replica, epoch_start, end, kind, steps,
                             first, batch)
-        engine._finish_epoch(self._running, self, steps, first, end,
-                             self._prefix)
-        self._reserved = (sum(r.request.max_seq_len for r in self._running)
-                          + self._prefix.node_total)
-        self._shard_reserved = (sum(engine.shard_footprint(r.request)
-                                    for r in self._running)
-                                + self._prefix.shard_total)
+        for seq, wrapper in self._joined:
+            if wrapper.first_token_time is None and seq in running:
+                wrapper.first_token_time = first
+        self._joined.clear()
+        tick = self._num_steps
+        heap = self._finish_heap
+        finished: list[tuple[int, _RunningRequest]] = []
+        while heap and heap[0][0] <= tick:
+            _, seq, wrapper = heappop(heap)
+            if seq in running:  # live: every live key is >= tick
+                self._sync(wrapper)
+                finished.append((seq, wrapper))
+        if not finished:
+            return
+        # Every record goes out before any finisher leaves, so sinks and
+        # observers see the batch and reservations the clock loop showed.
+        prefix = self._prefix
+        node_before, shard_before = prefix.node_total, prefix.shard_total
+        for _, done in finished:
+            engine._complete(done, self, end, prefix)
+        node_freed = shard_freed = 0
+        for seq, done in finished:
+            del running[seq]
+            node_freed += done.request.max_seq_len
+            shard_freed += engine.shard_footprint(done.request)
+        self._reserved += prefix.node_total - node_before - node_freed
+        self._shard_reserved += (prefix.shard_total - shard_before
+                                 - shard_freed)
+
+    # ------------------------------------------------------------------ #
+    # internals: the running batch (join, sync, heap-derived shape)
+    # ------------------------------------------------------------------ #
+    def _join(self, wrapper: _RunningRequest) -> None:
+        """Add ``wrapper`` (its ``generated`` synced) to the running batch."""
+        seq = self._join_seq
+        self._join_seq = seq + 1
+        tick = self._num_steps
+        wrapper.tick = tick
+        request = wrapper.request
+        self._running[seq] = wrapper
+        heappush(self._finish_heap,
+                 (request.output_len - wrapper.generated + tick, seq,
+                  wrapper))
+        heappush(self._context_heap,
+                 (tick - request.input_len - wrapper.generated, seq,
+                  wrapper))
+        self._joined.append((seq, wrapper))
+
+    def _sync(self, wrapper: _RunningRequest) -> None:
+        """Bring a running wrapper's ``generated`` up to the decode tick."""
+        tick = self._num_steps
+        wrapper.generated += tick - wrapper.tick
+        wrapper.tick = tick
+
+    def _epoch_shape(self) -> tuple[int, int]:
+        """``(min remaining, max context_length)`` of the running batch.
+
+        Read off the heap tops after dropping stale entries (requests that
+        finished or left); a heap whose stale entries outgrow the batch is
+        compacted first, so both heaps stay O(batch).
+        """
+        running = self._running
+        limit = 2 * len(running) + _HEAP_SLACK
+        for heap in (self._finish_heap, self._context_heap):
+            if len(heap) > limit:
+                heap[:] = [entry for entry in heap if entry[1] in running]
+                heapify(heap)
+            while heap[0][1] not in running:
+                heappop(heap)
+        tick = self._num_steps
+        return (self._finish_heap[0][0] - tick,
+                tick - self._context_heap[0][0])
 
     # ------------------------------------------------------------------ #
     def finalize(self):

@@ -224,6 +224,60 @@ class TestServingFastPathGoldenPins:
         assert fast.records == exact.records
         assert fast.summary() == exact.summary()
 
+    #: Systems whose serves move real PCIe traffic: a static FlexGen split
+    #: and a fixed ALISA schedule that offloads and recomputes.
+    PCIE_BUILDERS = {
+        "flexgen": lambda hw, **kw: FlexGenSystem(MODEL, hw, cpu_fraction=0.5,
+                                                  **kw),
+        "alisa": lambda hw, **kw: AlisaSystem(
+            MODEL, hw, kv_sparsity=0.8,
+            scheduler_config=SchedulerConfig(0.5, 0.2, 4, 40), **kw),
+    }
+
+    @pytest.mark.parametrize("system", sorted(PCIE_BUILDERS))
+    def test_warm_engine_serve_matches_exact_stepping(self, system):
+        # The second serve prices every prefill and epoch from the memos
+        # (replayed link bytes, skipped all-zero traffic) and must still
+        # reproduce the exact-stepping trace and PCIe ledger bit for bit.
+        build = self.PCIE_BUILDERS[system]
+        requests = generate_requests(16, 4.0, pattern="bursty", seed=3,
+                                     max_len=512)
+        engine = ContinuousBatchingEngine(build(V100_16GB_NODE))
+        engine.serve(requests)
+        warm = engine.serve(requests)
+        assert warm.metadata["epoch_cache"]["misses"] == 0
+        exact = ContinuousBatchingEngine(
+            build(V100_16GB_NODE, exact_stepping=True)).serve(requests)
+        assert exact.metadata["pcie_bytes"] > 0.0
+        assert warm.records == exact.records
+        assert warm.metadata["pcie_bytes"] == exact.metadata["pcie_bytes"]
+
+    @pytest.mark.parametrize("system", sorted(PCIE_BUILDERS))
+    def test_warm_group_serve_matches_exact_stepping(self, system):
+        from repro.cluster import ReplicaGroup
+
+        build = self.PCIE_BUILDERS[system]
+
+        def group(exact_stepping):
+            return ReplicaGroup.from_layout(
+                lambda node, parallelism: build(
+                    node, parallelism=parallelism,
+                    exact_stepping=exact_stepping),
+                "2x(none)", V100_16GB_NODE, policy="jsq", seed=3)
+
+        requests = generate_requests(16, 4.0, pattern="bursty", seed=3,
+                                     max_len=512)
+        fast = group(False)
+        fast.serve(requests)
+        warm = fast.serve(requests)
+        exact = group(True).serve(requests)
+        warm_bytes = [t.metadata["pcie_bytes"] for t in warm.replica_traces]
+        exact_bytes = [t.metadata["pcie_bytes"]
+                       for t in exact.replica_traces]
+        assert all(num_bytes > 0.0 for num_bytes in exact_bytes)
+        assert warm.records == exact.records
+        assert warm_bytes == exact_bytes
+
     def test_prefill_plan_cache_is_engine_state(self):
         requests = generate_requests(8, **self.REQUESTS)
         engine = ContinuousBatchingEngine(build_system("alisa"))
@@ -244,8 +298,10 @@ class TestServingFastPathGoldenPins:
         group = ReplicaGroup.from_layout(factory, "2x(none)",
                                          V100_16GB_NODE, policy="jsq")
         first, second = group.engines
-        # Prefill plans are shape-pure for every system: always shared.
+        # Prefill plans are shape-pure for every system: always shared,
+        # and their memoized prices with them.
         assert first._prefill_plans is second._prefill_plans
+        assert first._prefill_prices is second._prefill_prices
         # ALISA's default warm-started schedules depend on replica-local
         # solver history, so its priced epochs are NOT shared...
         assert not first.simulator.pricing_is_shape_pure()
@@ -256,6 +312,7 @@ class TestServingFastPathGoldenPins:
         requests = generate_requests(12, **self.REQUESTS)
         trace = group.serve(requests)
         assert trace.num_requests == 12
+        assert set(first._prefill_prices) == set(first._prefill_plans)
 
         # ...but shape-pure pricing (exact schedules, stateless baselines)
         # shares epochs cluster-wide.
@@ -269,6 +326,8 @@ class TestServingFastPathGoldenPins:
         assert exact_group.engines[0].simulator.pricing_is_shape_pure()
         assert (exact_group.engines[0]._epoch_cache
                 is exact_group.engines[1]._epoch_cache)
+        assert (exact_group.engines[0]._prefill_prices
+                is exact_group.engines[1]._prefill_prices)
         flexgen_group = ReplicaGroup.from_layout(
             lambda node, parallelism: FlexGenSystem(
                 MODEL, node, parallelism=parallelism),
@@ -283,3 +342,4 @@ class TestServingFastPathGoldenPins:
         a, b = tp_group.engines
         assert a._epoch_cache is not b._epoch_cache
         assert a._prefill_plans is not b._prefill_plans
+        assert a._prefill_prices is not b._prefill_prices
