@@ -22,7 +22,11 @@ from typing import Callable
 from repro._common import ConfigurationError
 from repro.cluster.layout import ClusterLayout
 from repro.cluster.router import Router
-from repro.cluster.trace import ClusterTrace, StreamingClusterTrace
+from repro.cluster.trace import (
+    ClusterTrace,
+    StreamingClusterTrace,
+    attach_replicas,
+)
 from repro.hardware.presets import (
     NVLINK,
     ClusterSpec,
@@ -191,31 +195,21 @@ class ReplicaGroup:
 
         return route, router
 
-    def _dispatch(self, requests: list[Request], policy: str,
-                  seed: int | None) -> tuple[list[Request], list[int]]:
-        """Routing pre-pass: requests in dispatch order plus their replica
-        indices.  Pure function of ``(requests, policy, seed)`` — routing
-        never sees simulation results, so the pre-pass and the live event
-        loop make the same decisions."""
-        route, _ = self._route_fn(policy, seed)
-        ordered = sorted(requests,
-                         key=lambda r: (r.arrival_time, r.request_id))
-        return ordered, [route(request) for request in ordered]
-
     def route(self, requests: list[Request], policy: str | None = None,
               seed: int | None = None) -> list[list[Request]]:
         """Split ``requests`` into one per-replica trace (dispatch order).
 
         Requests are dispatched in ``(arrival_time, request_id)`` order —
         the order a front-end sees them — and each lands on exactly one
-        replica.  Pure function of ``(requests, policy, seed)``.
+        replica.  Pure function of ``(requests, policy, seed)``: routing
+        never sees simulation results, so :meth:`serve` makes the same
+        decisions.
         """
-        ordered, indices = self._dispatch(
-            requests, self.policy if policy is None else policy,
-            self.seed if seed is None else seed)
+        route, _ = self._route_fn(self.policy if policy is None else policy,
+                                  self.seed if seed is None else seed)
         assignments: list[list[Request]] = [[] for _ in self.engines]
-        for request, index in zip(ordered, indices):
-            assignments[index].append(request)
+        for request in sorted(requests, key=_arrival_key):
+            assignments[route(request)].append(request)
         return assignments
 
     # ------------------------------------------------------------------ #
@@ -276,246 +270,66 @@ class ReplicaGroup:
         started = perf_counter()
         policy = self.policy if policy is None else policy
         seed = self.seed if seed is None else seed
-        observers = check_observers(observers)
-        if faults is not None:
-            if hasattr(requests, "pop_next"):
-                raise ConfigurationError(
-                    "fault injection does not support closed-loop sources "
-                    "— lower the session trace to its open-loop request "
-                    "stream"
-                )
-            if any(engine.simulator.exact_stepping
-                   for engine in self.engines):
-                raise ConfigurationError(
-                    "fault injection schedules new event kinds and is only "
-                    "implemented on the event-driven path; it cannot be "
-                    "combined with exact_stepping=True replicas"
-                )
-        elif retry is not None or shedding is not None:
-            raise ConfigurationError(
-                "retry=/shedding= configure fault recovery and need a "
-                "faults= schedule to act on"
-            )
-        if observers and any(engine.simulator.exact_stepping
-                             for engine in self.engines):
-            raise ConfigurationError(
-                "observers hook the event-driven path and cannot be "
-                "combined with exact_stepping=True replicas"
-            )
-        if record_mode not in ("full", "streaming"):
-            raise ConfigurationError(
-                f"unknown record_mode {record_mode!r}; known: ['full', "
-                f"'streaming']"
-            )
         simulator = self.engines[0].simulator
-
-        closed_loop = hasattr(requests, "pop_next")
-        if closed_loop:
-            # Closed-loop source: arrivals are popped live (they depend on
-            # completions), routing runs live, and every replica's budget
-            # probe uses the source's global length bounds.
-            bounds = requests.length_bounds
-            share_bounds = [bounds] * self.num_replicas
-            source = requests
-            route, router = self._route_fn(policy, seed)
-            total_budget = sum(
-                engine.kv_budget_tokens_for_bounds(*bounds)
-                for engine in self.engines)
-            upfront = []
-        elif isinstance(requests, RequestStream):
-            # Streams never materialize: every replica's budget probe uses
-            # the stream's global length bounds, and routing runs live.
-            bounds = requests.length_bounds
-            share_bounds = [bounds] * self.num_replicas
-            source = iter(requests)
-            route, router = self._route_fn(policy, seed)
-            total_budget = sum(
-                engine.kv_budget_tokens_for_bounds(*bounds)
-                for engine in self.engines)
-            upfront: list[tuple[Request, int]] = []
-        elif faults is not None:
-            # Fault serves route live even from a list: health changes
-            # mid-trace, so a routing pre-pass replay would dispatch to
-            # replicas that are down (and retries re-route anyway).  Every
-            # replica's budget probe uses the global length bounds — after
-            # a failure any request may land anywhere.
-            source = sorted(requests,
-                            key=lambda r: (r.arrival_time, r.request_id))
-            route, router = self._route_fn(policy, seed)
-            upfront = []
-            if requests:
-                bounds = (max(r.input_len for r in requests),
-                          max(r.output_len for r in requests))
-                share_bounds = [bounds] * self.num_replicas
-                total_budget = sum(engine.kv_budget_tokens(requests)
-                                   for engine in self.engines)
-            else:
-                share_bounds = [None] * self.num_replicas
-                total_budget = None
-        else:
-            # Routing pre-pass (pure, independent of simulation) so each
-            # replica's KV-budget probe sees exactly its share's length
-            # maxima — identical budgets to serving the shares directly.
-            ordered, indices = self._dispatch(requests, policy, seed)
-            share_bounds = [None] * self.num_replicas
-            counts = [0] * self.num_replicas
-            for request, index in zip(ordered, indices):
-                counts[index] += 1
-                previous = share_bounds[index]
-                if previous is None:
-                    share_bounds[index] = (request.input_len,
-                                           request.output_len)
-                else:
-                    share_bounds[index] = (
-                        max(previous[0], request.input_len),
-                        max(previous[1], request.output_len))
-            source = ordered
-            replay = iter(indices)
-            route = lambda request: next(replay)  # noqa: E731
-            router = None
-            total_budget = (sum(engine.kv_budget_tokens(requests)
-                                for engine in self.engines)
-                            if requests else None)
-            upfront = list(zip(ordered, indices))
-
-        if observers:
-            # Wrap the routing closure so observers see every assignment —
-            # covers both the live-router and the replay path, without the
-            # router itself learning about observation.
-            inner_route = route
-
-            def route(request, _inner=inner_route):
-                target = _inner(request)
-                for ob in observers:
-                    ob.on_assign(request.arrival_time, request, target)
-                return target
-
         streaming = record_mode == "streaming"
+        traces = [engine.make_trace(record_mode, ttft_slo_s, tpot_slo_s,
+                                    quantiles=() if streaming else None)
+                  for engine in self.engines]
         cluster_trace = None
-        observer = None
         if streaming:
             cluster_trace = StreamingClusterTrace(
                 system=simulator.name, model=simulator.config.name,
                 ttft_slo_s=ttft_slo_s, tpot_slo_s=tpot_slo_s,
                 class_slos=class_slos)
-            observer = cluster_trace.observe
-        if closed_loop:
-            # Every completion must reach the source so it can schedule
-            # the session's next turn; the cluster-level streaming sink
-            # (when any) still sees each record exactly once.
-            if observer is None:
-                observer = requests.on_completion
-            else:
-                cluster_observe = observer
 
-                def observer(record, _sink=cluster_observe,
-                             _feedback=requests.on_completion):
-                    _sink(record)
-                    _feedback(record)
-        fault_mode = faults is not None
-        runs = []
-        for index, (engine, share) in enumerate(zip(self.engines,
-                                                    share_bounds)):
-            trace = engine.make_trace(record_mode, ttft_slo_s, tpot_slo_s,
-                                      quantiles=() if streaming else None)
-            if share is None:
-                runs.append(engine.start_run(trace, observer=observer,
-                                             observers=observers,
-                                             replica=index,
-                                             fault_mode=fault_mode))
-            else:
-                runs.append(engine.start_run(trace, max_input_len=share[0],
-                                             max_output_len=share[1],
-                                             observer=observer,
-                                             eager_epochs=closed_loop,
-                                             observers=observers,
-                                             replica=index,
-                                             fault_mode=fault_mode))
-        for request, index in upfront:
-            # Legacy contract: an impossible request raises before any
-            # simulation happens (streams check at their arrival instead).
-            runs[index].check_admissible(request)
-        coordinator = None
-        if fault_mode:
-            from repro.faults import FaultCoordinator
-            coordinator = FaultCoordinator(faults, retry=retry,
-                                           shedder=shedding)
-            # Terminal failed/shed records flow straight into the streaming
-            # sink; in full mode they collect on the coordinator and join
-            # the merged records below.
-            coordinator.bind(runs, route, router=router,
-                             observers=observers,
-                             record_sink=observer if streaming else None)
-        drive(source, runs, route, journal=event_journal,
-              observers=observers, faults=coordinator)
-        traces = [run.finalize() for run in runs]
+        def assemble(traces, dispatch_counts, bounds):
+            metadata = {
+                "routing": {"policy": policy, "seed": seed,
+                            "dispatch_counts": dispatch_counts},
+                "num_replicas": self.num_replicas,
+                "total_gpus": self.total_gpus,
+                "record_mode": record_mode,
+            }
+            if bounds is not None:
+                # Cluster capacity is a hardware fact: probe every
+                # replica's budget against the whole trace, so the reported
+                # budget does not shrink when a routing policy starves a
+                # replica (an empty replica's own trace reports budget 0).
+                metadata["kv_budget_tokens"] = sum(
+                    engine.kv_budget_tokens_for_bounds(*bounds)
+                    for engine in self.engines)
+            if self.cluster is not None:
+                metadata["cluster"] = {
+                    "name": self.cluster.name,
+                    "node": self.cluster.node.name,
+                    "num_replicas": self.cluster.num_replicas,
+                    "total_gpus": self.cluster.total_gpus}
+            scheduler = self._aggregate_scheduler_stats(traces)
+            if scheduler:
+                metadata["scheduler"] = scheduler
+            epoch_cache = self._aggregate_epoch_cache(traces)
+            if epoch_cache is not None:
+                # Exact even when replicas share one pricing cache: each
+                # engine's hit/miss counters are per engine, so
+                # per-replica deltas sum without double counting.
+                metadata["epoch_cache"] = epoch_cache
+            if not streaming:
+                return ClusterTrace.merge(traces, system=simulator.name,
+                                          model=simulator.config.name,
+                                          metadata=metadata)
+            cluster_trace.metadata.update(metadata)
+            attach_replicas(cluster_trace, traces)
+            return cluster_trace
 
-        # Live routing tallies dispatches as the event loop runs, so the
-        # counts exist only after drive(); the list pre-pass knew them
-        # upfront.
-        dispatch_counts = counts if router is None else router.dispatch_counts
-        metadata = {
-            "routing": {"policy": policy, "seed": seed,
-                        "dispatch_counts": list(dispatch_counts)},
-            "num_replicas": self.num_replicas,
-            "total_gpus": self.total_gpus,
-            "record_mode": record_mode,
-        }
-        if total_budget is not None:
-            # Cluster capacity is a hardware fact: probe every replica's
-            # budget against the whole trace, so the reported budget does
-            # not shrink when a routing policy starves a replica (an empty
-            # replica's own trace reports budget 0).
-            metadata["kv_budget_tokens"] = total_budget
-        if self.cluster is not None:
-            metadata["cluster"] = {"name": self.cluster.name,
-                                   "node": self.cluster.node.name,
-                                   "num_replicas": self.cluster.num_replicas,
-                                   "total_gpus": self.cluster.total_gpus}
-        scheduler = self._aggregate_scheduler_stats(traces)
-        if scheduler:
-            metadata["scheduler"] = scheduler
-        epoch_cache = self._aggregate_epoch_cache(traces)
-        if epoch_cache is not None:
-            # Exact even when replicas share one pricing cache: each
-            # engine's hit/miss counters are per engine, so per-replica
-            # deltas sum without double counting.
-            metadata["epoch_cache"] = epoch_cache
-        metadata["wall_clock_s"] = perf_counter() - started
-        if not streaming:
-            merged = ClusterTrace.merge(traces, system=simulator.name,
-                                        model=simulator.config.name,
-                                        metadata=metadata)
-            if coordinator is not None:
-                merged.records.extend(coordinator.records)
-                merged.records.sort(
-                    key=lambda r: (r.completion_time, r.request_id))
-                merged.metadata["resilience"] = coordinator.resilience(
-                    merged.duration, self.num_replicas)
-            notify_finish(observers, merged, class_slos)
-            return merged
-        cluster_trace.replica_traces = traces
-        cluster_trace.metadata.update(metadata)
-        if coordinator is not None:
-            cluster_trace.metadata["resilience"] = coordinator.resilience(
-                cluster_trace.duration, self.num_replicas)
-        cluster_trace.metadata["replicas"] = [
-            {"replica": index, "num_requests": trace.num_requests,
-             "generated_tokens": trace.generated_tokens,
-             "duration_s": trace.duration,
-             "mean_queueing_delay_s": trace.mean_queueing_delay,
-             "kv_budget_tokens": trace.metadata.get("kv_budget_tokens", 0),
-             "peak_reserved_tokens": trace.metadata.get(
-                 "peak_reserved_tokens", 0),
-             "comm_time_share": trace.metadata.get("comm_time_share", 0.0)}
-            for index, trace in enumerate(traces)
-        ]
-        cluster_trace.metadata.setdefault(
-            "kv_budget_tokens",
-            sum(trace.metadata.get("kv_budget_tokens", 0)
-                for trace in traces))
-        notify_finish(observers, cluster_trace, class_slos)
-        return cluster_trace
+        trace = serve_replicas(
+            self.engines, requests, lambda: self._route_fn(policy, seed),
+            traces, assemble, record_mode=record_mode,
+            sink=None if cluster_trace is None else cluster_trace.observe,
+            journal=event_journal, observers=observers, faults=faults,
+            retry=retry, shedding=shedding)
+        trace.metadata["wall_clock_s"] = perf_counter() - started
+        notify_finish(observers, trace, class_slos)
+        return trace
 
     @staticmethod
     def _aggregate_epoch_cache(traces) -> dict[str, int] | None:
@@ -539,3 +353,159 @@ class ReplicaGroup:
             for key, value in trace.metadata.get("scheduler", {}).items():
                 totals[key] = totals.get(key, 0) + value
         return totals
+
+
+def _arrival_key(request: Request) -> tuple[float, int]:
+    return (request.arrival_time, request.request_id)
+
+
+def check_serve(engines, requests, observers, faults, retry,
+                shedding) -> tuple:
+    """The guards every serve shares; returns the canonical observers."""
+    observers = check_observers(observers)
+    exact = any(engine.simulator.exact_stepping for engine in engines)
+    if faults is not None:
+        if hasattr(requests, "pop_next"):
+            raise ConfigurationError(
+                "fault injection does not support closed-loop sources — "
+                "lower the session trace to its open-loop request stream"
+            )
+        if exact:
+            raise ConfigurationError(
+                "fault injection schedules new event kinds and is only "
+                "implemented on the event-driven path; it cannot be "
+                "combined with exact_stepping=True"
+            )
+    elif retry is not None or shedding is not None:
+        raise ConfigurationError(
+            "retry=/shedding= configure fault recovery and need a faults= "
+            "schedule to act on"
+        )
+    if observers and exact:
+        raise ConfigurationError(
+            "observers hook the event-driven path and cannot be combined "
+            "with exact_stepping=True"
+        )
+    return observers
+
+
+def serve_replicas(engines: list[ContinuousBatchingEngine], requests,
+                   routing: Callable[[], tuple], traces: list,
+                   assemble: Callable, record_mode: str = "full",
+                   sink=None, journal: list | None = None, observers=None,
+                   faults=None, retry=None, shedding=None):
+    """The one event-driven serve body, over one run per engine.
+
+    :meth:`ReplicaGroup.serve` calls it with its replicas and
+    ``ContinuousBatchingEngine.serve`` with its engine alone, so an engine
+    serve is exactly a one-replica group serve.  ``routing()`` builds a
+    fresh ``(route, router)`` pair: ``route(request) -> index``, and the
+    :class:`Router` behind it (``None`` for a fixed route), which tallies
+    dispatches and which a fault serve marks replicas down on.
+    ``traces`` holds one empty trace per engine.  ``sink``, when given,
+    receives every record as well (the cluster's streaming trace); in
+    streaming mode a fault serve's terminal failed/shed records go to it,
+    or to the only trace when there is none.
+    ``assemble(traces, dispatch_counts, bounds)`` builds the result from
+    the finalized run traces, ``bounds`` being the global
+    ``(max_input_len, max_output_len)`` of the arrivals (``None`` for an
+    empty list).  A fault serve's full-mode result gains its terminal
+    records, and every fault serve the ``resilience`` metadata block.
+    """
+    observers = check_serve(engines, requests, observers, faults, retry,
+                            shedding)
+    num_runs = len(engines)
+    closed_loop = hasattr(requests, "pop_next")
+    route, router = routing()
+    upfront: list[tuple[Request, int]] = []
+    if closed_loop or isinstance(requests, RequestStream):
+        # Sources that never materialize: every run's budget probe uses
+        # the source's global length bounds, and routing runs live.
+        source = requests
+        bounds = requests.length_bounds
+        run_bounds = [bounds] * num_runs
+    else:
+        source = sorted(requests, key=_arrival_key)
+        bounds = ((max(r.input_len for r in source),
+                   max(r.output_len for r in source)) if source else None)
+        if faults is None:
+            # Routing pre-pass (pure, independent of simulation) so each
+            # run's KV-budget probe sees exactly its share's length maxima
+            # — identical budgets to serving the shares directly.
+            targets = [route(request) for request in source]
+            run_bounds = [None] * num_runs
+            for request, index in zip(source, targets):
+                share = run_bounds[index]
+                run_bounds[index] = (
+                    (request.input_len, request.output_len) if share is None
+                    else (max(share[0], request.input_len),
+                          max(share[1], request.output_len)))
+            upfront = list(zip(source, targets))
+            replay = iter(targets)
+            route = lambda request: next(replay)  # noqa: E731
+        else:
+            # Fault serves route live even from a list: health changes
+            # mid-trace, so a pre-pass replay would dispatch to replicas
+            # that are down.  After a failure any request may land on any
+            # replica, so every run probes with the global bounds and
+            # every request must fit every run.
+            run_bounds = [bounds] * num_runs
+            upfront = [(request, index) for request in source
+                       for index in range(num_runs)]
+
+    if observers:
+        # Observers see every assignment, without the router itself
+        # learning about observation.
+        inner_route = route
+
+        def route(request, _inner=inner_route):
+            target = _inner(request)
+            for observer in observers:
+                observer.on_assign(request.arrival_time, request, target)
+            return target
+
+    record_observer = sink
+    if closed_loop:
+        # Every completion must reach the source so it can schedule the
+        # session's next turn; the sink (when any) still sees each record
+        # exactly once.
+        feedback = requests.on_completion
+        if sink is None:
+            record_observer = feedback
+        else:
+            def record_observer(record):
+                sink(record)
+                feedback(record)
+
+    runs = [engine.start_run(trace, *(share or (None, None)),
+                             observer=record_observer,
+                             eager_epochs=closed_loop, observers=observers,
+                             replica=index, fault_mode=faults is not None)
+            for index, (engine, trace, share)
+            in enumerate(zip(engines, traces, run_bounds))]
+    for request, index in upfront:
+        # An impossible request raises before any simulation happens
+        # (streams check at their arrival instead).
+        runs[index].check_admissible(request)
+    coordinator = None
+    if faults is not None:
+        from repro.faults import FaultCoordinator
+        coordinator = FaultCoordinator(faults, retry=retry,
+                                       shedder=shedding)
+        coordinator.bind(runs, route, router=router, observers=observers,
+                         record_sink=(sink or traces[0].observe
+                                      if record_mode == "streaming"
+                                      else None))
+    drive(source, runs, route, journal=journal, observers=observers,
+          faults=coordinator)
+    result = assemble([run.finalize() for run in runs],
+                      None if router is None else router.dispatch_counts,
+                      bounds)
+    if coordinator is not None:
+        if record_mode != "streaming":
+            result.records.extend(coordinator.records)
+            result.records.sort(
+                key=lambda r: (r.completion_time, r.request_id))
+        result.metadata["resilience"] = coordinator.resilience(
+            result.duration, num_runs)
+    return result

@@ -34,22 +34,8 @@ class ClusterTrace(ServingTrace):
         records = [record for trace in traces for record in trace.records]
         records.sort(key=lambda record: record.completion_time)
         merged = cls(system=system, model=model, records=records,
-                     metadata=dict(metadata or {}), replica_traces=traces)
-        merged.metadata["replicas"] = [
-            {"replica": index, "num_requests": trace.num_requests,
-             "generated_tokens": trace.generated_tokens,
-             "duration_s": trace.duration,
-             "mean_queueing_delay_s": trace.mean_queueing_delay,
-             "kv_budget_tokens": trace.metadata.get("kv_budget_tokens", 0),
-             "peak_reserved_tokens": trace.metadata.get(
-                 "peak_reserved_tokens", 0),
-             "comm_time_share": trace.metadata.get("comm_time_share", 0.0)}
-            for index, trace in enumerate(traces)
-        ]
-        merged.metadata.setdefault(
-            "kv_budget_tokens",
-            sum(trace.metadata.get("kv_budget_tokens", 0)
-                for trace in traces))
+                     metadata=dict(metadata or {}))
+        attach_replicas(merged, traces)
         return merged
 
     # ------------------------------------------------------------------ #
@@ -76,6 +62,30 @@ class ClusterTrace(ServingTrace):
         data["num_replicas"] = self.num_replicas
         data["tokens_imbalance"] = self.tokens_imbalance
         return data
+
+
+def attach_replicas(trace, replica_traces: list) -> None:
+    """Attach per-replica traces to a cluster trace (full or streaming).
+
+    Sets ``replica_traces`` and ``metadata["replicas"]``, and defaults
+    ``metadata["kv_budget_tokens"]`` to the replicas' summed budgets.
+    """
+    trace.replica_traces = replica_traces
+    trace.metadata["replicas"] = [
+        {"replica": index, "num_requests": replica.num_requests,
+         "generated_tokens": replica.generated_tokens,
+         "duration_s": replica.duration,
+         "mean_queueing_delay_s": replica.mean_queueing_delay,
+         "kv_budget_tokens": replica.metadata.get("kv_budget_tokens", 0),
+         "peak_reserved_tokens": replica.metadata.get(
+             "peak_reserved_tokens", 0),
+         "comm_time_share": replica.metadata.get("comm_time_share", 0.0)}
+        for index, replica in enumerate(replica_traces)
+    ]
+    trace.metadata.setdefault(
+        "kv_budget_tokens",
+        sum(replica.metadata.get("kv_budget_tokens", 0)
+            for replica in replica_traces))
 
 
 class StreamingClusterTrace(StreamingTrace):

@@ -109,7 +109,7 @@ class FaultCoordinator:
         return self.schedule.timeline()
 
     # ------------------------------------------------------------------ #
-    # driver hooks (see events._drive_with_faults)
+    # driver hooks (see events.drive)
     # ------------------------------------------------------------------ #
     def dispatch(self, time: float, request, retrying: bool) -> int | None:
         """Route one arrival; ``None`` means it was shed or parked."""
@@ -127,6 +127,8 @@ class FaultCoordinator:
             self._parked.append((request, time, retrying))
             return None
         target = self._route(request)
+        if not 0 <= target < len(self._runs):
+            return target  # the driver rejects it
         if target in self._down:
             raise ConfigurationError(
                 f"route() returned down replica {target} — health-aware "

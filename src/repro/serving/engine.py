@@ -135,8 +135,7 @@ import numpy as np
 
 from repro._common import ConfigurationError, validate_positive
 from repro.serving.events import (ADMISSION, COMPLETION, EPOCH_BOUNDARY,
-                                  PREEMPTION, PREFILL_CHUNK,
-                                  check_observers, drive, notify_finish)
+                                  PREEMPTION, PREFILL_CHUNK, notify_finish)
 from repro.serving.sketches import DEFAULT_QUANTILES, StreamingTrace
 from repro.serving.trace import (
     RequestRecord,
@@ -727,151 +726,40 @@ class ContinuousBatchingEngine:
         ``trace.metadata["wall_clock_s"]`` records the real time the
         simulation took, so bench regressions can be diagnosed from
         committed traces.
+
+        The event-driven serve is exactly a one-replica
+        :meth:`~repro.cluster.group.ReplicaGroup.serve`: both run
+        :func:`repro.cluster.group.serve_replicas`, so observers also see
+        ``on_assign(time, request, 0)`` for every dispatch.
         """
+        from repro.cluster.group import check_serve, serve_replicas
         started = perf_counter()
-        observers = check_observers(observers)
-        if observers and self.simulator.exact_stepping:
-            raise ConfigurationError(
-                "observers hook the event-driven path and cannot be "
-                "combined with exact_stepping=True"
-            )
-        if faults is None:
-            if retry is not None or shedding is not None:
-                raise ConfigurationError(
-                    "retry=/shedding= configure fault recovery and need a "
-                    "faults= schedule to act on"
-                )
-            trace = self._serve(requests, record_mode, ttft_slo_s,
-                                tpot_slo_s, class_slos, observers)
-        else:
-            trace = self._serve_with_faults(
-                requests, record_mode, ttft_slo_s, tpot_slo_s, class_slos,
-                observers, faults, retry, shedding)
-        trace.metadata["wall_clock_s"] = perf_counter() - started
-        notify_finish(observers, trace, class_slos)
-        return trace
-
-    def _serve_with_faults(self, requests, record_mode: str,
-                           ttft_slo_s: float | None,
-                           tpot_slo_s: float | None,
-                           class_slos: dict | None, observers: tuple,
-                           faults, retry, shedding):
-        """Single-replica fault-injection serve (see :mod:`repro.faults`)."""
-        from repro.faults import FaultCoordinator
+        trace = self.make_trace(record_mode, ttft_slo_s, tpot_slo_s,
+                                class_slos=class_slos)
         if self.simulator.exact_stepping:
-            raise ConfigurationError(
-                "fault injection schedules new event kinds and is only "
-                "implemented on the event-driven path; it cannot be "
-                "combined with exact_stepping=True"
-            )
-        if hasattr(requests, "pop_next"):
-            raise ConfigurationError(
-                "fault injection does not support closed-loop sources — "
-                "lower the session trace to its open-loop request stream"
-            )
-        trace = self.make_trace(record_mode, ttft_slo_s, tpot_slo_s,
-                                class_slos=class_slos)
-        coordinator = FaultCoordinator(faults, retry=retry, shedder=shedding)
-        if isinstance(requests, RequestStream):
-            max_input, max_output = requests.length_bounds
-            source = iter(requests)
-        else:
-            if not requests:
-                # Still reject a schedule naming replicas the serve does
-                # not have — an empty trace must not mask a bad config.
-                if faults.max_replica() >= 1:
-                    raise ConfigurationError(
-                        f"fault schedule names replica "
-                        f"{faults.max_replica()} but the serve has only "
-                        f"1 replicas"
-                    )
-                trace.metadata.update(
-                    kv_budget_tokens=0, peak_reserved_tokens=0,
-                    num_epochs=0, num_decode_steps=0, pcie_bytes=0.0,
-                    shards=[], comm_time_s=0.0, comm_time_share=0.0,
-                    resilience={"num_failures": 0, "num_retries": 0,
-                                "num_failed": 0, "num_shed": 0,
-                                "downtime_s": 0.0, "availability": 1.0})
-                return trace
-            max_input = max(r.input_len for r in requests)
-            max_output = max(r.output_len for r in requests)
-            source = sorted(requests,
-                            key=lambda r: (r.arrival_time, r.request_id))
-        run = self.start_run(trace, max_input_len=max_input,
-                             max_output_len=max_output,
-                             observers=observers, fault_mode=True)
-        record_sink = (trace.observe if record_mode == "streaming" else None)
-        coordinator.bind([run], lambda request: 0, router=None,
-                         observers=observers, record_sink=record_sink)
-        if isinstance(source, list):
-            for request in source:  # legacy contract: OOM raises up front
-                run.check_admissible(request)
-        drive(source, [run], lambda request: 0, observers=observers,
-              faults=coordinator)
-        result = run.finalize()
-        if record_sink is None:
-            result.records.extend(coordinator.records)
-            result.records.sort(
-                key=lambda r: (r.completion_time, r.request_id))
-        result.metadata["resilience"] = coordinator.resilience(
-            result.duration, 1)
-        return result
-
-    def _serve(self, requests, record_mode: str,
-               ttft_slo_s: float | None, tpot_slo_s: float | None,
-               class_slos: dict | None, observers: tuple):
-        """Dispatch one serve to the right source/stepping body."""
-        trace = self.make_trace(record_mode, ttft_slo_s, tpot_slo_s,
-                                class_slos=class_slos)
-        if hasattr(requests, "pop_next"):
-            # Closed-loop source (see events.ContinuationSource): future
-            # arrivals depend on this serve's own completions, which the
-            # run feeds back through the source's on_completion observer.
-            if self.simulator.exact_stepping:
+            check_serve([self], requests, observers, faults, retry, shedding)
+            if hasattr(requests, "pop_next"):
                 raise ConfigurationError(
                     "closed-loop sources are driven by the event loop and "
                     "cannot be served with exact_stepping=True"
                 )
-            max_input, max_output = requests.length_bounds
-            run = self.start_run(trace, max_input_len=max_input,
-                                 max_output_len=max_output,
-                                 observer=requests.on_completion,
-                                 eager_epochs=True, observers=observers)
-            drive(requests, [run], lambda request: 0, observers=observers)
-            return run.finalize()
-        if isinstance(requests, RequestStream):
-            if self.simulator.exact_stepping:
+            if isinstance(requests, RequestStream):
                 raise ConfigurationError(
                     "exact_stepping replays the retained clock loop over a "
                     "materialized request list; serve a RequestStream with "
                     "the event-driven default instead"
                 )
-            max_input, max_output = requests.length_bounds
-            run = self.start_run(trace, max_input_len=max_input,
-                                 max_output_len=max_output,
-                                 observers=observers)
-            drive(iter(requests), [run], lambda request: 0,
-                  observers=observers)
-            return run.finalize()
-        if not requests:
-            trace.metadata.update(kv_budget_tokens=0, peak_reserved_tokens=0,
-                                  num_epochs=0, num_decode_steps=0,
-                                  pcie_bytes=0.0, shards=[],
-                                  comm_time_s=0.0, comm_time_share=0.0)
-            return trace
-        if self.simulator.exact_stepping:
-            return self._serve_clock_loop(requests, trace)
-        run = self.start_run(
-            trace,
-            max_input_len=max(r.input_len for r in requests),
-            max_output_len=max(r.output_len for r in requests),
-            observers=observers)
-        for request in requests:  # legacy contract: OOM raises up front
-            run.check_admissible(request)
-        ordered = sorted(requests,
-                         key=lambda r: (r.arrival_time, r.request_id))
-        drive(ordered, [run], lambda request: 0, observers=observers)
-        return run.finalize()
+        if self.simulator.exact_stepping and requests:
+            trace = self._serve_clock_loop(requests, trace)
+        else:
+            trace = serve_replicas(
+                [self], requests, lambda: (lambda request: 0, None),
+                [trace], lambda traces, counts, bounds: traces[0],
+                record_mode=record_mode, observers=observers, faults=faults,
+                retry=retry, shedding=shedding)
+        trace.metadata["wall_clock_s"] = perf_counter() - started
+        notify_finish(observers, trace, class_slos)
+        return trace
 
     def make_trace(self, record_mode: str, ttft_slo_s: float | None = None,
                    tpot_slo_s: float | None = None, quantiles=None,

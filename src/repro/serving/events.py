@@ -5,7 +5,7 @@ iteration, so simulating an idle second cost as much as a busy one.  The
 event-driven core instead jumps between the instants where something can
 actually change:
 
-* **arrival** — the next request of the (sorted) arrival source reaches the
+* **arrival** — the next request of the arrival source reaches the
   front-end and is routed to exactly one replica run;
 * **epoch-boundary** — a replica's priced decode epoch ends early because
   its queue head became admissible (the batch composition changes);
@@ -15,6 +15,8 @@ actually change:
 :func:`drive` merges these into one :mod:`heapq` stream over any number of
 replica runs (``ContinuousBatchingEngine.start_run`` builds one run per
 replica) and a ``route`` callback that picks the run each arrival joins.
+Fault injection (``faults=``) only adds producers to the same heap:
+replica fail/recover events and retried arrivals.
 
 Heap invariants
 ---------------
@@ -25,7 +27,8 @@ Heap invariants
 2. **At most one scheduled event per run, and it never changes.**  A run's
    next event is a pure function of its state; new arrivals only append to
    the run's FCFS queue tail, which cannot affect an already-priced epoch
-   (the epoch cut depends only on the queue *head*).
+   (the epoch cut depends only on the queue *head*).  The one exception is
+   a replica failure, which cancels the run's in-flight event.
 3. **A run prices an epoch only when its next queue head is known** — its
    pending queue is non-empty or the source is exhausted (``close``).  The
    epoch cut depends on the next routed request even when that request
@@ -33,9 +36,14 @@ Heap invariants
    *blocks* (consumes zero work) until the next arrival is routed to it or
    the source closes.  This is the conservative-synchronization condition
    that keeps event-driven traces bit-identical to the clock-stepped loop.
-4. **One lazy arrival at a time.**  Only the next unrouted request sits in
-   the heap, so a million-request source never materializes: memory holds
-   the heap (O(replicas)), each run's backlog, and the metric sinks.
+   Runs fed by a closed-loop source cannot wait for a head their own
+   completions produce, so they price eagerly (``eager_epochs=True``).
+4. **Source arrivals are peeked, never queued in the heap.**  The
+   driver peeks the source's next arrival time every iteration and pops
+   the arrival only once it precedes the heap top; a plain iterable is
+   buffered one request ahead, so a million-request source never
+   materializes: memory holds the heap (O(replicas)), each run's backlog,
+   and the metric sinks.
 
 Ties between run events at one timestamp break by run index, and the heap
 sequence number makes every entry unique — ordering is deterministic, which
@@ -75,10 +83,6 @@ PREFILL_CHUNK = "prefill-chunk"
 #: with ``faults=None``, so fault-free journals are unchanged.
 REPLICA_FAIL = "replica-fail"
 REPLICA_RECOVER = "replica-recover"
-
-#: Marker in the heap's index slot distinguishing re-injected retry
-#: arrivals from source arrivals (which trigger the one-ahead pull).
-_RETRY = "retry"
 
 
 class ReplicaRun(Protocol):
@@ -120,6 +124,43 @@ class ContinuationSource(Protocol):
     @property
     def exhausted(self) -> bool:
         """True once every request has been popped — none will ever follow."""
+
+
+class _Lookahead:
+    """:class:`ContinuationSource` view of a plain sorted iterable.
+
+    Buffers exactly one request ahead and rejects a source that is not
+    sorted by ``(arrival_time, request_id)``.
+    """
+
+    __slots__ = ("_arrivals", "_head", "_last_key")
+
+    def __init__(self, source) -> None:
+        self._arrivals = iter(source)
+        self._head: Request | None = None
+        self._last_key: tuple[float, int] | None = None
+        self.pop_next()
+
+    def peek_time(self) -> float | None:
+        head = self._head
+        return None if head is None else head.arrival_time
+
+    def pop_next(self) -> Request | None:
+        request, head = self._head, next(self._arrivals, None)
+        if head is not None:
+            key = (head.arrival_time, head.request_id)
+            if self._last_key is not None and key < self._last_key:
+                raise ConfigurationError(
+                    f"arrival source must be sorted by (arrival_time, "
+                    f"request_id); got {key} after {self._last_key}"
+                )
+            self._last_key = key
+        self._head = head
+        return request
+
+    @property
+    def exhausted(self) -> bool:
+        return self._head is None
 
 
 def check_observers(observers) -> tuple:
@@ -170,10 +211,11 @@ def drive(source, runs: list[ReplicaRun],
           faults=None) -> None:
     """Run the merged event loop to completion.
 
-    ``source`` yields requests in ``(arrival_time, request_id)`` order (one
-    is pulled ahead at a time, so generators and streams never
-    materialize); ``route(request)`` returns the index of the run each
-    arrival joins, called exactly once per request in arrival order —
+    ``source`` is a :class:`ContinuationSource` or any iterable yielding
+    requests in ``(arrival_time, request_id)`` order (wrapped in an
+    adapter that buffers one request ahead, so generators and streams
+    never materialize).  ``route(request)`` returns the index of the run
+    each arrival joins, called exactly once per request in arrival order —
     dispatch-time routing, exactly as a front-end load balancer decides.
     ``journal``, when given, receives ``(time, kind, run_index)`` tuples
     for every processed event (a test/debug surface; see
@@ -182,215 +224,57 @@ def drive(source, runs: list[ReplicaRun],
     *before* the event is applied — discrete-event state is piecewise
     constant, so that is the state at the event instant.
 
-    A :class:`ContinuationSource` (anything with ``pop_next``) switches to
-    the closed-loop body: arrivals are popped only when they precede every
-    scheduled run event, so turns injected by completions mid-loop are
-    served in true time order, and runs are closed only once the source is
-    exhausted — not merely momentarily empty.
+    The source is peeked every iteration and an arrival is popped only
+    when it precedes the heap top (arrivals win ties, invariant 1), so
+    turns a closed-loop source injects on completions mid-loop are served
+    in true time order.  Runs are closed once the source is exhausted —
+    not merely momentarily empty — so runs driven by a closed-loop source
+    must never block awaiting their next queue head (``EngineRun`` built
+    with ``eager_epochs=True``): the loop would deadlock on the circular
+    wait between an epoch's cut and the arrival it produces.
 
     ``faults``, when given, is a bound
-    :class:`repro.faults.FaultCoordinator` and switches to the
-    fault-injection body (:func:`_drive_with_faults`) — a separate loop,
-    so serves with ``faults=None`` execute exactly the instruction stream
-    they always did.
-    """
-    if not runs:
-        raise ConfigurationError("drive needs at least one replica run")
-    if faults is not None:
-        if hasattr(source, "pop_next"):
-            raise ConfigurationError(
-                "fault injection does not support closed-loop sources — "
-                "lower the session trace to its open-loop request stream"
-            )
-        _drive_with_faults(source, runs, journal, observers, faults)
-        return
-    if hasattr(source, "pop_next"):
-        _drive_continuation(source, runs, route, journal, observers)
-        return
-    arrivals = iter(source)
-    heap: list[tuple] = []
-    sequence = 0
-    last_key: tuple[float, int] | None = None
-    closed = False
+    :class:`repro.faults.FaultCoordinator`; it only adds producers to the
+    same heap:
 
-    def push_run_event(index: int, event: tuple[float, str] | None) -> None:
-        nonlocal sequence
-        if event is None:
-            return
-        time, kind = event
-        sequence += 1
-        # Run events tie-break after arrivals (invariant 1) and between
-        # themselves by run index; the sequence number keeps entries unique
-        # so heapq never compares payloads.
-        heapq.heappush(heap, (time, index, sequence, kind, index, None))
-
-    def pull_arrival() -> None:
-        nonlocal sequence, closed, last_key
-        if closed:
-            return
-        request = next(arrivals, None)
-        if request is None:
-            closed = True
-            for index, run in enumerate(runs):
-                push_run_event(index, run.close())
-            return
-        key = (request.arrival_time, request.request_id)
-        if last_key is not None and key < last_key:
-            raise ConfigurationError(
-                f"arrival source must be sorted by (arrival_time, "
-                f"request_id); got {key} after {last_key}"
-            )
-        last_key = key
-        sequence += 1
-        heapq.heappush(heap,
-                       (request.arrival_time, -1, sequence, ARRIVAL, None,
-                        request))
-
-    pull_arrival()
-    while heap:
-        time, _, _, kind, index, request = heapq.heappop(heap)
-        if kind == ARRIVAL:
-            target = route(request)
-            if not 0 <= target < len(runs):
-                raise ConfigurationError(
-                    f"route() must return a run index in [0, {len(runs)}), "
-                    f"got {target!r}"
-                )
-            if journal is not None:
-                journal.append((time, ARRIVAL, target))
-            if observers:
-                for observer in observers:
-                    observer.on_event(time, ARRIVAL, target)
-            push_run_event(target, runs[target].offer(request))
-            pull_arrival()
-        else:
-            if journal is not None:
-                journal.append((time, kind, index))
-            if observers:
-                for observer in observers:
-                    observer.on_event(time, kind, index)
-            push_run_event(index, runs[index].advance())
-
-    for index, run in enumerate(runs):
-        if not run.finished:
-            raise ConfigurationError(
-                f"event loop drained with run {index} unfinished — a run "
-                f"scheduled no event while holding work (driver invariant "
-                f"violation)"
-            )
-
-
-def _drive_continuation(source, runs: list[ReplicaRun],
-                        route: Callable[[Request], int],
-                        journal: list | None = None,
-                        observers: tuple = ()) -> None:
-    """Closed-loop body of :func:`drive` (see :class:`ContinuationSource`).
-
-    The one-ahead pull of the open-loop body is unsound here: a completion
-    at time ``t`` may inject a turn earlier than an arrival already pulled
-    into the heap.  Instead the source is *peeked* every iteration and an
-    arrival is popped only when it precedes every scheduled run event
-    (arrivals win ties, invariant 1), which keeps the offered order sorted:
-    any turn injected later departs from a completion at or after the
-    current heap minimum, so it can never predate an arrival already
-    popped.  Runs are closed only when the source is exhausted — a
-    momentarily-empty source still owes the arrivals its outstanding
-    completions will trigger.  Runs driven closed-loop must therefore never
-    block awaiting their next queue head (``EngineRun`` is built with
-    ``eager_epochs=True``), or the loop would deadlock on the circular wait
-    between an epoch's cut and the arrival it produces.
-    """
-    heap: list[tuple] = []
-    sequence = 0
-    closed = False
-
-    def push_run_event(index: int, event: tuple[float, str] | None) -> None:
-        nonlocal sequence
-        if event is None:
-            return
-        time, kind = event
-        sequence += 1
-        heapq.heappush(heap, (time, index, sequence, kind, index, None))
-
-    while True:
-        ready = source.peek_time()
-        if ready is not None and (not heap
-                                  or (ready, -1) <= (heap[0][0], heap[0][1])):
-            request = source.pop_next()
-            target = route(request)
-            if not 0 <= target < len(runs):
-                raise ConfigurationError(
-                    f"route() must return a run index in [0, {len(runs)}), "
-                    f"got {target!r}"
-                )
-            if journal is not None:
-                journal.append((request.arrival_time, ARRIVAL, target))
-            if observers:
-                for observer in observers:
-                    observer.on_event(request.arrival_time, ARRIVAL, target)
-            push_run_event(target, runs[target].offer(request))
-            continue
-        if ready is None and source.exhausted and not closed:
-            closed = True
-            for index, run in enumerate(runs):
-                push_run_event(index, run.close())
-            continue
-        if not heap:
-            break
-        time, _, _, kind, index, _ = heapq.heappop(heap)
-        if journal is not None:
-            journal.append((time, kind, index))
-        if observers:
-            for observer in observers:
-                observer.on_event(time, kind, index)
-        push_run_event(index, runs[index].advance())
-
-    if not source.exhausted:
-        raise ConfigurationError(
-            "closed-loop event loop drained with the source still waiting "
-            "for completions — a run dropped work without recording it"
-        )
-    for index, run in enumerate(runs):
-        if not run.finished:
-            raise ConfigurationError(
-                f"event loop drained with run {index} unfinished — a run "
-                f"scheduled no event while holding work (driver invariant "
-                f"violation)"
-            )
-
-
-def _drive_with_faults(source, runs: list[ReplicaRun],
-                       journal: list | None, observers: tuple,
-                       faults) -> None:
-    """Fault-injection body of :func:`drive`.
-
-    Differences from the open-loop body, each forced by failures:
-
-    * **fault events** — the coordinator's fail/recover timeline is pushed
+    * **fault events** — the coordinator's fail/recover timeline, pushed
       up front at priority ``-2``, so a failure at time ``t`` is processed
       before an arrival at ``t`` (routing sees current health) and before
       any run event at ``t`` (an epoch "ending" at the crash instant never
       lands);
-    * **stale-event invalidation** — invariant 2 ("a scheduled run event
-      never changes") breaks when a replica fails: its in-flight event is
-      cancelled.  Each run's live event sequence number is tracked in
-      ``valid``; popped run events whose sequence no longer matches are
-      skipped;
-    * **coordinator dispatch** — arrivals (and re-injected retries, pushed
-      at priority ``-1`` like source arrivals) route through
-      ``faults.dispatch``, which may shed or park them instead of
-      returning a run index;
-    * **late offers** — retries and parked arrivals may be offered after
-      the source closed and out of ``(arrival_time, request_id)`` order;
-      runs built for fault mode accept both (``EngineRun(fault_mode=True)``).
+    * **retries** — interrupted requests re-enter at priority ``-1`` after
+      their backoff.  The source head carries the heap sequence number it
+      got when it became the head, so a retry and a source arrival at one
+      instant go in the order they were produced;
+    * **stale-event invalidation** — a failure cancels its run's in-flight
+      event (the one exception to invariant 2): each run's live event
+      sequence number is tracked and popped events that no longer match
+      are skipped;
+    * **coordinator dispatch** — every arrival routes through
+      ``faults.dispatch``, which may shed or park it instead of returning
+      a run index.  Retries and parked arrivals may be offered after the
+      runs closed and out of ``(arrival_time, request_id)`` order; runs
+      built for fault mode accept both (``EngineRun(fault_mode=True)``).
     """
-    arrivals = iter(source)
+    if not runs:
+        raise ConfigurationError("drive needs at least one replica run")
+    if not hasattr(source, "pop_next"):
+        source = _Lookahead(source)
+    elif faults is not None:
+        raise ConfigurationError(
+            "fault injection does not support closed-loop sources — "
+            "lower the session trace to its open-loop request stream"
+        )
+    peek, pop = source.peek_time, source.pop_next
+    # Entries are (time, rank, sequence, kind, payload): rank is -2 for a
+    # fault event (payload: replica), -1 for a retry (payload: request)
+    # and the run index for a run event, which therefore tie-break by run
+    # index; the sequence number keeps entries unique.
     heap: list[tuple] = []
     sequence = 0
-    last_key: tuple[float, int] | None = None
     closed = False
-    #: Per-run sequence number of the one live scheduled event (0 = none);
-    #: a failure zeroes it, orphaning the heap entry.
+    #: Per-run sequence number of the one live scheduled event; a failure
+    #: zeroes it, orphaning the heap entry.
     valid = [0] * len(runs)
 
     def emit(time: float, kind: str, index: int) -> None:
@@ -403,74 +287,82 @@ def _drive_with_faults(source, runs: list[ReplicaRun],
     def push_run_event(index: int, event: tuple[float, str] | None) -> None:
         nonlocal sequence
         if event is None:
-            # No new event scheduled; any live one stays valid (only a
-            # failure invalidates).
-            return
-        time, kind = event
+            return  # nothing new; a live event stays valid
         sequence += 1
         valid[index] = sequence
-        heapq.heappush(heap, (time, index, sequence, kind, index, None))
-
-    def push_arrival(time: float, marker, request: Request) -> None:
-        nonlocal sequence
-        sequence += 1
-        heapq.heappush(heap, (time, -1, sequence, ARRIVAL, marker, request))
+        heapq.heappush(heap, (event[0], index, sequence, event[1], None))
 
     def dispatch(time: float, request: Request, retrying: bool) -> None:
-        target = faults.dispatch(time, request, retrying)
-        emit(time, ARRIVAL, -1 if target is None else target)
-        if target is not None:
-            push_run_event(target, runs[target].offer(request, now=time))
+        if faults is None:
+            target = route(request)
+        else:
+            target = faults.dispatch(time, request, retrying)
+            if target is None:  # shed or parked
+                emit(time, ARRIVAL, -1)
+                return
+        if not 0 <= target < len(runs):
+            raise ConfigurationError(
+                f"route() must return a run index in [0, {len(runs)}), "
+                f"got {target!r}"
+            )
+        emit(time, ARRIVAL, target)
+        run = runs[target]
+        push_run_event(target, run.offer(request) if faults is None
+                       else run.offer(request, now=time))
 
-    def pull_arrival() -> None:
-        nonlocal closed, last_key
-        if closed:
-            return
-        request = next(arrivals, None)
-        if request is None:
+    if faults is not None:
+        for time, kind, replica in faults.timeline():
+            sequence += 1
+            heapq.heappush(heap, (time, -2, sequence, kind, replica))
+    sequence += 1
+    head = sequence
+    while True:
+        ready = peek()
+        if ready is not None and (not heap or (ready, -1, head) < heap[0]):
+            dispatch(ready, pop(), False)
+            sequence += 1
+            head = sequence
+            continue
+        if ready is None and not closed and source.exhausted:
             closed = True
             for index, run in enumerate(runs):
                 push_run_event(index, run.close())
-            return
-        key = (request.arrival_time, request.request_id)
-        if last_key is not None and key < last_key:
-            raise ConfigurationError(
-                f"arrival source must be sorted by (arrival_time, "
-                f"request_id); got {key} after {last_key}"
-            )
-        last_key = key
-        push_arrival(request.arrival_time, None, request)
-
-    for time, kind, replica in faults.timeline():
-        sequence += 1
-        heapq.heappush(heap, (time, -2, sequence, kind, replica, None))
-
-    pull_arrival()
-    while heap:
-        time, _, seq, kind, index, request = heapq.heappop(heap)
-        if kind == ARRIVAL:
-            from_source = request is not None and index is None
-            dispatch(time, request, retrying=index is _RETRY)
-            if from_source:
-                pull_arrival()
+            continue
+        if not heap:
+            break
+        time, rank, seq, kind, payload = heapq.heappop(heap)
+        if rank >= 0:
+            if seq == valid[rank]:  # else cancelled by a failure
+                # emit() inlined: run events are the hottest path.
+                if journal is not None:
+                    journal.append((time, kind, rank))
+                if observers:
+                    for observer in observers:
+                        observer.on_event(time, kind, rank)
+                push_run_event(rank, runs[rank].advance())
+        elif kind == ARRIVAL:
+            dispatch(time, payload, True)
         elif kind == REPLICA_FAIL:
-            emit(time, REPLICA_FAIL, index)
-            valid[index] = 0  # the run's in-flight event died with it
-            for retry_time, retry_request in faults.fail(time, index):
-                push_arrival(retry_time, _RETRY, retry_request)
-        elif kind == REPLICA_RECOVER:
-            emit(time, REPLICA_RECOVER, index)
-            event, released = faults.recover(time, index)
-            push_run_event(index, event)
-            for parked_request, retrying in released:
-                dispatch(time, parked_request, retrying)
+            emit(time, kind, payload)
+            valid[payload] = 0  # the run's in-flight event died with it
+            for retry_time, request in faults.fail(time, payload):
+                sequence += 1
+                heapq.heappush(heap, (retry_time, -1, sequence, ARRIVAL,
+                                      request))
         else:
-            if seq != valid[index]:
-                continue  # cancelled by a failure after it was scheduled
-            emit(time, kind, index)
-            push_run_event(index, runs[index].advance())
+            emit(time, kind, payload)
+            event, released = faults.recover(time, payload)
+            push_run_event(payload, event)
+            for request, retrying in released:
+                dispatch(time, request, retrying)
 
-    faults.finish()
+    if faults is not None:
+        faults.finish()
+    if not source.exhausted:
+        raise ConfigurationError(
+            "closed-loop event loop drained with the source still waiting "
+            "for completions — a run dropped work without recording it"
+        )
     for index, run in enumerate(runs):
         if not run.finished:
             raise ConfigurationError(

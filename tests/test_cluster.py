@@ -16,10 +16,12 @@ from repro.cluster import (
 from repro.core.engine import AlisaSystem
 from repro.experiments import run_experiment
 from repro.experiments.serving import max_sustained_rate
+from repro.faults import FaultEvent, FaultSchedule, RetryPolicy
 from repro.hardware.presets import V100_16GB_NODE, V100_16GB_X2_NODE, multi_gpu
 from repro.serving import ContinuousBatchingEngine
 from repro.systems.cost import ParallelismSpec
-from repro.workloads.arrivals import generate_requests
+from repro.workloads.arrivals import RequestStream, generate_requests
+from repro.workloads.sessions import sessions
 
 MODEL = "opt-6.7b"
 
@@ -184,18 +186,54 @@ class TestReplicaGroup:
                   for engine in quad.engines}
         assert len(caches) == 4  # per-replica schedule caches
 
-    def test_single_replica_round_robin_is_bit_identical_to_direct_serve(self):
-        requests = generate_requests(12, rate=16.0, input_len=256,
+    @pytest.mark.parametrize("faults", [None, "crash"])
+    @pytest.mark.parametrize("record_mode", ["full", "streaming"])
+    @pytest.mark.parametrize("source", ["list", "stream", "closed-loop"])
+    def test_single_replica_round_robin_is_bit_identical_to_direct_serve(
+            self, source, record_mode, faults):
+        # An engine serve is a one-replica group serve: same records, same
+        # summary, same per-run metadata, in every source and record mode,
+        # with and without faults.
+        def make_source():
+            if source == "list":
+                return generate_requests(12, rate=16.0, input_len=256,
+                                         output_len=128, seed=5)
+            if source == "stream":
+                return RequestStream(12, rate=16.0, input_len=256,
                                      output_len=128, seed=5)
-        cluster_trace = group("none", policy="round-robin").serve(requests)
-        direct = ContinuousBatchingEngine(
-            alisa_factory(V100_16GB_NODE, ParallelismSpec())).serve(requests)
-        assert cluster_trace.records == direct.records
+            return sessions(6, rate=8.0, seed=5, mean_turns=2.0,
+                            max_context=1024, mean_new_input=64,
+                            mean_output=64).closed_loop()
+
+        kwargs = {"record_mode": record_mode, "ttft_slo_s": 1.0,
+                  "tpot_slo_s": 0.1}
+        if faults is not None:
+            kwargs.update(faults=FaultSchedule([FaultEvent(0, 0.3, 0.9)]),
+                          retry=RetryPolicy(max_retries=1))
+        direct_engine = ContinuousBatchingEngine(
+            alisa_factory(V100_16GB_NODE, ParallelismSpec()))
+        single = group("none", policy="round-robin")
+        if faults is not None and source == "closed-loop":
+            for serve in (direct_engine.serve, single.serve):
+                with pytest.raises(ConfigurationError, match="closed-loop"):
+                    serve(make_source(), **kwargs)
+            return
+        direct = direct_engine.serve(make_source(), **kwargs)
+        cluster_trace = single.serve(make_source(), **kwargs)
+        if record_mode == "full":
+            assert cluster_trace.records == direct.records
         direct_summary = direct.summary()
         cluster_summary = cluster_trace.summary()
         assert all(cluster_summary[key] == value
                    for key, value in direct_summary.items())
-        assert cluster_trace.metadata["routing"]["dispatch_counts"] == [12]
+        run_metadata = {key: value for key, value in direct.metadata.items()
+                        if key not in ("wall_clock_s", "resilience")}
+        assert cluster_trace.replica_traces[0].metadata == run_metadata
+        assert (cluster_trace.metadata.get("resilience")
+                == direct.metadata.get("resilience"))
+        dispatched = cluster_trace.metadata["routing"]["dispatch_counts"]
+        assert dispatched == [direct.num_requests
+                              - direct.num_shed + direct.num_retries]
         assert cluster_trace.tokens_imbalance == 1.0
 
     @pytest.mark.parametrize("policy", ROUTING_POLICIES)

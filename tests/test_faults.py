@@ -20,6 +20,7 @@ from repro.cluster import ReplicaGroup
 from repro.cluster.router import Router
 from repro.faults import (
     FAULT_MODES,
+    FaultCoordinator,
     FaultEvent,
     FaultSchedule,
     LoadShedder,
@@ -29,9 +30,13 @@ from repro.hardware.presets import V100_16GB_NODE
 from repro.obs import Observer, SpanTracer
 from repro.obs.report import render
 from repro.serving import (
+    ADMISSION,
+    ARRIVAL,
+    COMPLETION,
     REPLICA_FAIL,
     REPLICA_RECOVER,
     ContinuousBatchingEngine,
+    drive,
 )
 from repro.serving.trace import REQUEST_STATUSES
 from repro.workloads.arrivals import Request, generate_requests
@@ -328,6 +333,75 @@ class TestClusterFaults:
             journals.append((journal, trace.summary()))
         assert journals[0][0] == journals[1][0]
         assert journals[0][1] == journals[1][1]
+
+
+class TestFaultDriverContracts:
+    @pytest.mark.parametrize("layer", ["engine", "group"])
+    def test_impossible_list_request_raises_before_shedding(self, layer):
+        # The batch request can never fit; it arrives while the only
+        # replica is down, where the shedder would drop it silently.
+        reqs = [Request(0, 1.0, 64, 32),
+                Request(1, 2.0, 60000, 60000, slo_class="batch")]
+        serve = (engine().serve if layer == "engine"
+                 else ReplicaGroup([engine()]).serve)
+        with pytest.raises(ConfigurationError, match="never be admitted"):
+            serve(reqs, faults=FaultSchedule([FaultEvent(0, 1.5, 100.0)]),
+                  shedding=LoadShedder())
+
+    @pytest.mark.parametrize("target", [-1, 5])
+    def test_fault_driver_range_checks_route_targets(self, target):
+        shared = engine()
+        runs = [shared.start_run(shared.make_trace("full"), max_input_len=512,
+                                 max_output_len=512, replica=index,
+                                 fault_mode=True)
+                for index in range(2)]
+        def route(request):
+            return target
+        coordinator = FaultCoordinator(crash_at())
+        coordinator.bind(runs, route)
+        with pytest.raises(ConfigurationError, match="run index"):
+            drive(requests(), runs, route, faults=coordinator)
+
+    # A retry ready at 1.0 + 0.5 backoff ties with the source arrival at
+    # 1.5.  When the 1.5 arrival is already the source head at the crash,
+    # it goes first; when it becomes the head only after the 1.125 arrival,
+    # the retry goes first.  Round-robin then sends the first of the two
+    # to replica 0, which the completions below reveal.
+    TIE_JOURNALS = {
+        True: [
+            (0.0, ARRIVAL, 0), (0.0, ADMISSION, 0), (0.25, ARRIVAL, 1),
+            (0.25, ADMISSION, 1), (1.0, REPLICA_FAIL, 0),
+            (1.25, REPLICA_RECOVER, 0), (1.5, ARRIVAL, 0),
+            (0.5034400623687981, COMPLETION, 1), (1.5, ARRIVAL, 1),
+            (1.5, ADMISSION, 0), (1.5, ADMISSION, 1),
+            (2.050766311688708, COMPLETION, 0),
+            (9.025364494140943, COMPLETION, 1)],
+        False: [
+            (0.0, ARRIVAL, 0), (0.0, ADMISSION, 0), (0.25, ARRIVAL, 1),
+            (0.25, ADMISSION, 1), (1.0, REPLICA_FAIL, 0),
+            (1.125, ARRIVAL, 1), (0.5034400623687981, COMPLETION, 1),
+            (1.125, ADMISSION, 1), (1.25, REPLICA_RECOVER, 0),
+            (1.5, ARRIVAL, 0), (1.5, ARRIVAL, 1),
+            (1.2623343184399096, COMPLETION, 1), (1.5, ADMISSION, 0),
+            (1.5, ADMISSION, 1), (2.050766311688708, COMPLETION, 1),
+            (9.025364494140943, COMPLETION, 0)],
+    }
+
+    @pytest.mark.parametrize("source_first", [True, False])
+    def test_retry_and_source_arrival_tie_order(self, source_first):
+        reqs = [Request(0, 0.0, 128, 512), Request(1, 0.25, 64, 16)]
+        if not source_first:
+            reqs.append(Request(2, 1.125, 64, 8))
+        reqs.append(Request(3, 1.5, 256, 32))
+        journal = []
+        trace = group(policy="round-robin", seed=0).serve(
+            reqs, faults=crash_at(fail=1.0, recover=1.25),
+            retry=RetryPolicy(max_retries=2, backoff_s=0.5),
+            event_journal=journal)
+        assert journal == self.TIE_JOURNALS[source_first]
+        retried = [r for r in trace.records if r.retries]
+        assert [(r.request_id, r.admission_time) for r in retried] == \
+            [(0, 1.5)]
 
 
 class TestRouterHealth:

@@ -145,6 +145,20 @@ class TestBitIdentity:
         kinds = {kind for _, kind, _ in recorder.events}
         assert ARRIVAL in kinds and COMPLETION in kinds
 
+    def test_engine_serve_reports_every_assignment_to_replica_zero(self):
+        class Recorder(Observer):
+            def __init__(self):
+                self.assigned = []
+
+            def on_assign(self, time, request, replica):
+                self.assigned.append((time, request.request_id, replica))
+
+        recorder = Recorder()
+        reqs = requests()
+        engine().serve(reqs, observers=[recorder])
+        assert recorder.assigned == sorted(
+            (r.arrival_time, r.request_id, 0) for r in reqs)
+
 
 # --------------------------------------------------------------------- #
 # Observer argument validation
