@@ -417,7 +417,7 @@ def serve_replicas(engines: list[ContinuousBatchingEngine], requests,
     num_runs = len(engines)
     closed_loop = hasattr(requests, "pop_next")
     route, router = routing()
-    upfront: list[tuple[Request, int]] = []
+    upfront = ()  # (request, run index) pairs checked before driving
     if closed_loop or isinstance(requests, RequestStream):
         # Sources that never materialize: every run's budget probe uses
         # the source's global length bounds, and routing runs live.
@@ -440,7 +440,7 @@ def serve_replicas(engines: list[ContinuousBatchingEngine], requests,
                     (request.input_len, request.output_len) if share is None
                     else (max(share[0], request.input_len),
                           max(share[1], request.output_len)))
-            upfront = list(zip(source, targets))
+            upfront = zip(source, targets)
             replay = iter(targets)
             route = lambda request: next(replay)  # noqa: E731
         else:
@@ -450,8 +450,8 @@ def serve_replicas(engines: list[ContinuousBatchingEngine], requests,
             # replica, so every run probes with the global bounds and
             # every request must fit every run.
             run_bounds = [bounds] * num_runs
-            upfront = [(request, index) for request in source
-                       for index in range(num_runs)]
+            upfront = ((request, index) for request in source
+                       for index in range(num_runs))
 
     if observers:
         # Observers see every assignment, without the router itself
