@@ -253,8 +253,7 @@ class ReplicaGroup:
         instances hooked into every replica run and the merged event loop
         (span tracing, metric timelines — see ``docs/observability.md``);
         with none registered the serve is bit-identical to an unobserved
-        one.  Observers ride the event-driven path and cannot be combined
-        with ``exact_stepping=True`` replicas.
+        one.
 
         ``faults`` is an optional :class:`~repro.faults.FaultSchedule` of
         replica outages (``retry`` the
@@ -307,12 +306,10 @@ class ReplicaGroup:
             scheduler = self._aggregate_scheduler_stats(traces)
             if scheduler:
                 metadata["scheduler"] = scheduler
-            epoch_cache = self._aggregate_epoch_cache(traces)
-            if epoch_cache is not None:
-                # Exact even when replicas share one pricing cache: each
-                # engine's hit/miss counters are per engine, so
-                # per-replica deltas sum without double counting.
-                metadata["epoch_cache"] = epoch_cache
+            # Exact even when replicas share one pricing cache: each
+            # engine's hit/miss counters are per engine, so per-replica
+            # deltas sum without double counting.
+            metadata["epoch_cache"] = self._aggregate_epoch_cache(traces)
             if not streaming:
                 return ClusterTrace.merge(traces, system=simulator.name,
                                           model=simulator.config.name,
@@ -332,18 +329,14 @@ class ReplicaGroup:
         return trace
 
     @staticmethod
-    def _aggregate_epoch_cache(traces) -> dict[str, int] | None:
-        """Cluster-wide priced-epoch cache hits/misses (None when absent,
-        e.g. every replica ran with ``exact_stepping=True``)."""
+    def _aggregate_epoch_cache(traces) -> dict[str, int]:
+        """Cluster-wide priced-epoch cache hits/misses (an idle replica's
+        trace has no ``epoch_cache`` entry and adds nothing)."""
         totals = {"hits": 0, "misses": 0}
-        found = False
         for trace in traces:
-            cache = trace.metadata.get("epoch_cache")
-            if cache is not None:
-                found = True
-                totals["hits"] += cache["hits"]
-                totals["misses"] += cache["misses"]
-        return totals if found else None
+            for key, value in trace.metadata.get("epoch_cache", {}).items():
+                totals[key] += value
+        return totals
 
     @staticmethod
     def _aggregate_scheduler_stats(traces) -> dict[str, int]:
@@ -357,36 +350,6 @@ class ReplicaGroup:
 
 def _arrival_key(request: Request) -> tuple[float, int]:
     return (request.arrival_time, request.request_id)
-
-
-def check_serve(engines, requests, observers, faults, retry,
-                shedding) -> tuple:
-    """The guards every serve shares; returns the canonical observers."""
-    observers = check_observers(observers)
-    exact = any(engine.simulator.exact_stepping for engine in engines)
-    if faults is not None:
-        if hasattr(requests, "pop_next"):
-            raise ConfigurationError(
-                "fault injection does not support closed-loop sources — "
-                "lower the session trace to its open-loop request stream"
-            )
-        if exact:
-            raise ConfigurationError(
-                "fault injection schedules new event kinds and is only "
-                "implemented on the event-driven path; it cannot be "
-                "combined with exact_stepping=True"
-            )
-    elif retry is not None or shedding is not None:
-        raise ConfigurationError(
-            "retry=/shedding= configure fault recovery and need a faults= "
-            "schedule to act on"
-        )
-    if observers and exact:
-        raise ConfigurationError(
-            "observers hook the event-driven path and cannot be combined "
-            "with exact_stepping=True"
-        )
-    return observers
 
 
 def serve_replicas(engines: list[ContinuousBatchingEngine], requests,
@@ -412,10 +375,19 @@ def serve_replicas(engines: list[ContinuousBatchingEngine], requests,
     empty list).  A fault serve's full-mode result gains its terminal
     records, and every fault serve the ``resilience`` metadata block.
     """
-    observers = check_serve(engines, requests, observers, faults, retry,
-                            shedding)
-    num_runs = len(engines)
+    observers = check_observers(observers)
     closed_loop = hasattr(requests, "pop_next")
+    if faults is not None and closed_loop:
+        raise ConfigurationError(
+            "fault injection does not support closed-loop sources — "
+            "lower the session trace to its open-loop request stream"
+        )
+    if faults is None and (retry is not None or shedding is not None):
+        raise ConfigurationError(
+            "retry=/shedding= configure fault recovery and need a faults= "
+            "schedule to act on"
+        )
+    num_runs = len(engines)
     route, router = routing()
     upfront = ()  # (request, run index) pairs checked before driving
     if closed_loop or isinstance(requests, RequestStream):

@@ -40,9 +40,9 @@ after the source closes (``close``/``finalize``) — and
 :func:`repro.serving.events.drive` runs one or many such runs off a merged
 event heap, so idle time costs nothing and several replicas interleave on
 true arrival order (see :mod:`repro.serving.events` for the heap
-invariants).  The legacy clock loop is retained behind the simulator's
-``exact_stepping=True`` escape hatch and pinned bit-identical to the event
-path in ``tests/test_epoch_pricing.py`` and
+invariants).  The list-based clock loop it replaced lives on as a
+test-only reference in ``tests/oracles/stepped.py``, and the event path is
+pinned bit-identical to it in ``tests/test_epoch_pricing.py`` and
 ``tests/test_serving_events.py``.
 
 Sharded KV budgets (multi-GPU)
@@ -87,12 +87,11 @@ finishers, in join order; reservations move by the finishers' footprints
 and the prefix cache's change instead of being re-summed.
 
 All of this is behaviour-preserving: traces are bit-identical to the
-list-based per-step clock loop, which remains available by constructing
-the simulator with ``exact_stepping=True`` (mirroring
-``SchedulePolicy(exact=True)``; it bypasses both price memos) and is pinned
-against the fast path in ``tests/test_epoch_pricing.py`` and
-``tests/test_serving_events.py``.  ``tests/test_engine_run_batch.py``
-checks the incremental batch state against a list scan after every event.
+list-based clock loop priced step by step with no price memos, the
+test-only oracle in ``tests/oracles/stepped.py``, and are pinned against
+it in ``tests/test_epoch_pricing.py`` and ``tests/test_serving_events.py``.
+``tests/test_engine_run_batch.py`` checks the incremental batch state
+against a list scan after every event.
 
 Modelling choices (all deliberate simplifications at the same granularity as
 the paper's own cost model):
@@ -133,7 +132,8 @@ from time import perf_counter
 
 import numpy as np
 
-from repro._common import ConfigurationError, validate_positive
+from repro._common import (ConfigurationError, validate_fraction,
+                            validate_positive)
 from repro.serving.events import (ADMISSION, COMPLETION, EPOCH_BOUNDARY,
                                   PREEMPTION, PREFILL_CHUNK, notify_finish)
 from repro.serving.sketches import DEFAULT_QUANTILES, StreamingTrace
@@ -141,10 +141,11 @@ from repro.serving.trace import (
     RequestRecord,
     ServingTrace,
     normalize_class_slos,
+    validate_slo,
 )
 from repro.systems.memory import MemoryHierarchy, PCIeLink
 from repro.systems.simulator import EpochTimings, InferenceSimulator
-from repro.workloads.arrivals import SLO_CLASSES, Request, RequestStream
+from repro.workloads.arrivals import SLO_CLASSES, Request
 from repro.workloads.descriptors import Workload
 
 #: Accepted values of ``ContinuousBatchingEngine(preemption=...)``.
@@ -173,10 +174,10 @@ class _RunningRequest:
     Wrappers compare by identity (``eq=False``): a backlog ``remove`` or
     membership test matches the wrapper itself, never a field-wise twin.
 
-    ``generated`` is exact in the clock loop.  An :class:`EngineRun`
-    advances it lazily instead: the whole batch decodes in lockstep, so
-    ``generated`` is only synced to the run's decode tick (recorded in
-    ``tick``) where it is read — eviction, a drain, and completion.
+    An :class:`EngineRun` advances ``generated`` lazily: the whole batch
+    decodes in lockstep, so ``generated`` is only synced to the run's
+    decode tick (recorded in ``tick``) where it is read — eviction, a
+    drain, and completion.
 
     ``prefill_tokens`` is how many prompt tokens the next prefill pass must
     compute for this request: the full ``input_len`` for a fresh admission,
@@ -468,7 +469,7 @@ class ContinuousBatchingEngine:
         Optional cap on concurrently running requests (``None`` = limited
         only by the KV budget).
     reserve_fraction:
-        GPU memory head-room fraction forwarded to
+        GPU memory head-room fraction in ``[0, 1]``, forwarded to
         :meth:`~repro.systems.simulator.InferenceSimulator.gpu_kv_budget_tokens`.
     schedule_cache:
         Optional shared schedule cache injected into simulators that plan
@@ -483,8 +484,7 @@ class ContinuousBatchingEngine:
         running batch requests at an epoch boundary, either swapping their
         KV to host memory and back (``"retain"``, priced on the PCIe link)
         or dropping it and re-prefilling the generated context on
-        re-admission (``"recompute"``).  Preemption is event-path only —
-        combining it with ``exact_stepping=True`` raises.
+        re-admission (``"recompute"``).
     prefix_reuse:
         When True (default), the KV of a non-final session turn stays
         resident so the session's next turn is charged only its suffix (see
@@ -500,8 +500,7 @@ class ContinuousBatchingEngine:
         at most one chunk's priced time — bounded preemption latency
         independent of prompt length.  Prefix-reuse hits compose (only the
         suffix is chunked) and mid-prefill preemption retains or recomputes
-        completed chunks per ``preemption=``.  Event-path only: combining
-        it with ``exact_stepping=True`` raises.
+        completed chunks per ``preemption=``.
 
     The number of KV shards equals the simulator node's ``gpu_count`` (the
     simulator's :class:`~repro.systems.cost.ParallelismSpec` already
@@ -517,25 +516,14 @@ class ContinuousBatchingEngine:
                  prefill_chunk_tokens: int | None = None) -> None:
         if max_batch_size is not None:
             validate_positive(max_batch_size=max_batch_size)
+        validate_fraction(reserve_fraction=reserve_fraction)
         if preemption not in PREEMPTION_MODES:
             raise ConfigurationError(
                 f"unknown preemption mode {preemption!r}; known: "
                 f"{list(PREEMPTION_MODES)}"
             )
-        if preemption is not None and simulator.exact_stepping:
-            raise ConfigurationError(
-                "preemption schedules new event kinds and is only "
-                "implemented on the event-driven path; it cannot be "
-                "combined with exact_stepping=True"
-            )
         if prefill_chunk_tokens is not None:
             validate_positive(prefill_chunk_tokens=prefill_chunk_tokens)
-            if simulator.exact_stepping:
-                raise ConfigurationError(
-                    "chunked prefill schedules new event kinds and is only "
-                    "implemented on the event-driven path; it cannot be "
-                    "combined with exact_stepping=True"
-                )
         self.simulator = simulator
         self.max_batch_size = max_batch_size
         self.reserve_fraction = reserve_fraction
@@ -661,7 +649,7 @@ class ContinuousBatchingEngine:
     def _admit_request(self, request: Request, prefix: _PrefixCache,
                        shard_reserved: int, shard_limit: int,
                        clock: float) -> tuple[_RunningRequest, int, int]:
-        """Admission bookkeeping shared by the clock loop and event runs.
+        """Admission bookkeeping of one fresh (not resumed) request.
 
         Returns ``(wrapper, node_delta, shard_delta)``; the caller applies
         the deltas to its reservation totals.
@@ -697,11 +685,6 @@ class ContinuousBatchingEngine:
         the goodput SLOs the streaming trace will answer for (ignored in
         full mode, where goodput is computed from the retained records).
 
-        The default path is event-driven (:class:`EngineRun` +
-        :func:`~repro.serving.events.drive`); a simulator built with
-        ``exact_stepping=True`` serves through the retained clock-stepped
-        loop instead, which is pinned bit-identical.
-
         ``class_slos`` fixes the per-``slo_class`` goodput SLOs that
         :meth:`~repro.serving.sketches.StreamingTrace.per_class_summary`
         will answer for.  Like the scalar SLOs it only *binds* in
@@ -711,8 +694,7 @@ class ContinuousBatchingEngine:
         ``observers`` is an optional list of :class:`repro.obs.Observer`
         instances receiving every simulated-time event (see
         ``docs/observability.md``).  Observation is passive — traces are
-        bit-identical with and without observers — and event-path only:
-        combining observers with ``exact_stepping=True`` raises.
+        bit-identical with and without observers.
 
         ``faults`` is an optional :class:`~repro.faults.FaultSchedule`
         describing replica-0 outages on this single-replica serve (see
@@ -720,43 +702,28 @@ class ContinuousBatchingEngine:
         :meth:`~repro.cluster.group.ReplicaGroup.serve`).  ``retry`` is
         the :class:`~repro.faults.RetryPolicy` for interrupted requests
         and ``shedding`` an optional :class:`~repro.faults.LoadShedder`;
-        both require ``faults``.  Fault injection is event-path only, and
-        ``faults=None`` serves are bit-identical to the pre-fault engine.
+        both require ``faults``.  ``faults=None`` serves are bit-identical
+        to the pre-fault engine.
 
         ``trace.metadata["wall_clock_s"]`` records the real time the
         simulation took, so bench regressions can be diagnosed from
         committed traces.
 
-        The event-driven serve is exactly a one-replica
+        The serve is event-driven (:class:`EngineRun` +
+        :func:`~repro.serving.events.drive`) and exactly a one-replica
         :meth:`~repro.cluster.group.ReplicaGroup.serve`: both run
         :func:`repro.cluster.group.serve_replicas`, so observers also see
         ``on_assign(time, request, 0)`` for every dispatch.
         """
-        from repro.cluster.group import check_serve, serve_replicas
+        from repro.cluster.group import serve_replicas
         started = perf_counter()
         trace = self.make_trace(record_mode, ttft_slo_s, tpot_slo_s,
                                 class_slos=class_slos)
-        if self.simulator.exact_stepping:
-            check_serve([self], requests, observers, faults, retry, shedding)
-            if hasattr(requests, "pop_next"):
-                raise ConfigurationError(
-                    "closed-loop sources are driven by the event loop and "
-                    "cannot be served with exact_stepping=True"
-                )
-            if isinstance(requests, RequestStream):
-                raise ConfigurationError(
-                    "exact_stepping replays the retained clock loop over a "
-                    "materialized request list; serve a RequestStream with "
-                    "the event-driven default instead"
-                )
-        if self.simulator.exact_stepping and requests:
-            trace = self._serve_clock_loop(requests, trace)
-        else:
-            trace = serve_replicas(
-                [self], requests, lambda: (lambda request: 0, None),
-                [trace], lambda traces, counts, bounds: traces[0],
-                record_mode=record_mode, observers=observers, faults=faults,
-                retry=retry, shedding=shedding)
+        trace = serve_replicas(
+            [self], requests, lambda: (lambda request: 0, None),
+            [trace], lambda traces, counts, bounds: traces[0],
+            record_mode=record_mode, observers=observers, faults=faults,
+            retry=retry, shedding=shedding)
         trace.metadata["wall_clock_s"] = perf_counter() - started
         notify_finish(observers, trace, class_slos)
         return trace
@@ -770,8 +737,11 @@ class ContinuousBatchingEngine:
         the streaming trace sketches; ``None`` keeps the defaults.  The
         cluster layer passes ``quantiles=()`` for its per-replica sinks,
         whose summaries need only counts and totals — that disables the
-        sketches entirely.
+        sketches entirely.  The SLOs are validated in both modes, so a
+        malformed one fails here rather than in a later goodput query.
         """
+        validate_slo("ttft_slo_s", ttft_slo_s)
+        validate_slo("tpot_slo_s", tpot_slo_s)
         parallelism = self.simulator.parallelism
         metadata = {"hardware": self.simulator.hardware.name,
                     "kv_dtype": self.simulator.kv_dtype,
@@ -838,116 +808,6 @@ class ContinuousBatchingEngine:
                          eager_epochs=eager_epochs, observers=observers,
                          replica=replica, fault_mode=fault_mode)
 
-    def _serve_clock_loop(self, requests: list[Request], trace):
-        """Retained clock-stepped serving loop (``exact_stepping=True``).
-
-        The pre-event-loop implementation, kept as the semantic reference:
-        the event-driven path is pinned bit-identical to it.
-        """
-        solver_before = self.simulator.schedule_stats()
-        budget = self.kv_budget_tokens(requests)
-        shard_budgets = self.shard_budgets(budget)
-        shard_limit = min(shard_budgets)
-        for request in requests:
-            footprint = self.shard_footprint(request)
-            if footprint > shard_limit:
-                raise ConfigurationError(
-                    f"request {request.request_id} needs {footprint} KV "
-                    f"tokens on each of {self.num_shards} shard(s) but the "
-                    f"tightest shard budget is {shard_limit} (node budget "
-                    f"{budget}); it can never be admitted"
-                )
-
-        pending = deque(sorted(requests,
-                               key=lambda r: (r.arrival_time, r.request_id)))
-        running: list[_RunningRequest] = []
-        prefix = _PrefixCache()
-        epoch_hits_before = self._epoch_hits
-        epoch_misses_before = self._epoch_misses
-        memory = MemoryHierarchy.from_hardware(self.simulator.hardware)
-        clock = 0.0
-        reserved = 0          # node-level KV tokens across all shards
-        shard_reserved = 0    # per-shard tokens (shards fill in lockstep)
-        peak_reserved = 0
-        peak_shard_reserved = 0
-        num_epochs = 0
-        num_steps = 0
-        comm_time = 0.0
-
-        while pending or running:
-            # FCFS admission: the queue head blocks until it fits, so
-            # requests always enter the batch in arrival order.
-            admitted: list[_RunningRequest] = []
-            while (pending and pending[0].arrival_time <= clock
-                   and self._fits(pending[0], len(running),
-                                  shard_reserved, shard_limit, prefix)):
-                request = pending.popleft()
-                wrapper, node_delta, shard_delta = self._admit_request(
-                    request, prefix, shard_reserved, shard_limit, clock)
-                running.append(wrapper)
-                reserved += node_delta
-                shard_reserved += shard_delta
-                admitted.append(wrapper)
-            peak_reserved = max(peak_reserved, reserved)
-            peak_shard_reserved = max(peak_shard_reserved, shard_reserved)
-
-            if not running:
-                clock = max(clock, pending[0].arrival_time)
-                continue
-
-            if admitted:
-                prefill, prefill_comm = self._prefill_time(admitted, memory)
-                clock += prefill
-                comm_time += prefill_comm
-
-            num_epochs += 1
-            clock, steps, epoch_comm = self._decode_epoch(
-                running, pending, shard_reserved, shard_limit, clock, memory,
-                trace, prefix)
-            num_steps += steps
-            comm_time += epoch_comm
-            reserved = (sum(r.request.max_seq_len for r in running)
-                        + prefix.node_total)
-            shard_reserved = (sum(self.shard_footprint(r.request)
-                                  for r in running) + prefix.shard_total)
-
-        trace.metadata.update(
-            kv_budget_tokens=budget, peak_reserved_tokens=peak_reserved,
-            num_epochs=num_epochs, num_decode_steps=num_steps,
-            pcie_bytes=memory.link.total_bytes,
-            # One entry per shard even though TP/PP shards fill in lockstep
-            # today (identical peaks): the per-shard shape is the interface
-            # data-parallel placement (see ROADMAP) will populate with
-            # genuinely divergent values.
-            shards=[
-                {"shard": index, "budget_tokens": shard_budget,
-                 "peak_reserved_tokens": peak_shard_reserved,
-                 "peak_occupancy": (peak_shard_reserved / shard_budget
-                                    if shard_budget > 0 else 0.0)}
-                for index, shard_budget in enumerate(shard_budgets)
-            ],
-            comm_time_s=comm_time,
-            comm_time_share=comm_time / clock if clock > 0 else 0.0,
-        )
-        if prefix.touched:
-            trace.metadata["prefix_cache"] = prefix.stats()
-        if not self.simulator.exact_stepping:
-            # How many decode epochs were priced fresh vs served from the
-            # epoch-price memo (cumulative counters, per-serve deltas).
-            trace.metadata["epoch_cache"] = {
-                "hits": self._epoch_hits - epoch_hits_before,
-                "misses": self._epoch_misses - epoch_misses_before,
-            }
-        solver_after = self.simulator.schedule_stats()
-        if solver_after:
-            # Per-serve increments: how the per-epoch re-prepares were served
-            # (exact/canonical cache hits vs warm-started vs full solves).
-            trace.metadata["scheduler"] = {
-                key: value - solver_before.get(key, 0)
-                for key, value in solver_after.items()
-            }
-        return trace
-
     # ------------------------------------------------------------------ #
     def _prefill_time(self, admitted: list[_RunningRequest],
                       memory: MemoryHierarchy) -> tuple[float, float]:
@@ -998,13 +858,10 @@ class ContinuousBatchingEngine:
         and memoized as ``(time, comm, h2d_bytes, d2h_bytes)``.  Each use
         replays the two byte counts onto ``memory.link`` — the same single
         adds the simulator's pricing makes, so the link ledger stays
-        bit-identical.  ``exact_stepping=True`` simulators skip the price
-        memo, like they skip the epoch memo.  Returns
-        ``(wall_clock_time, communication_time)``.
+        bit-identical.  Returns ``(wall_clock_time, communication_time)``.
         """
         key = (batch_size, input_len, output_len)
-        exact = self.simulator.exact_stepping
-        price = None if exact else self._prefill_prices.get(key)
+        price = self._prefill_prices.get(key)
         if price is None:
             workload = Workload(batch_size=batch_size, input_len=input_len,
                                 output_len=output_len, name=name)
@@ -1015,11 +872,6 @@ class ContinuousBatchingEngine:
                 self._prefill_plans[key] = plan
             comm = self.simulator.parallel_comm_time(workload,
                                                      query_len=input_len)
-            if exact:
-                # The reference path re-prices every pass on the run's own
-                # link, so the golden pins check the memo against it.
-                return (self.simulator.prefill_timing(plan, workload,
-                                                      memory), comm)
             link = memory.link
             scratch = MemoryHierarchy(
                 gpu=memory.gpu, cpu=memory.cpu,
@@ -1034,30 +886,6 @@ class ContinuousBatchingEngine:
         link.bytes_device_to_host += d2h_bytes
         return time, comm
 
-    def _decode_epoch(self, running: list[_RunningRequest],
-                      pending: deque, shard_reserved: int, shard_limit: int,
-                      clock: float, memory: MemoryHierarchy,
-                      sink, prefix: _PrefixCache) -> tuple[float, int, float]:
-        """Decode with fixed batch composition until a completion or an
-        admissible arrival ends the epoch (clock loop only).
-
-        The batch shape is a list scan of the (always synced) wrappers —
-        the independent oracle :class:`EngineRun`'s tick heaps are pinned
-        against.  Returns ``(clock, steps, communication_time)``.
-        """
-        # The batch composition is fixed for the whole epoch, so the FCFS
-        # head's admissibility is too: the epoch can only be cut by the
-        # head's arrival, and only if it would fit.
-        cut_arrival = None
-        if pending and self._fits(pending[0], len(running), shard_reserved,
-                                  shard_limit, prefix):
-            cut_arrival = pending[0].arrival_time
-        clock, steps, first_clock, comm_per_step = self._price_epoch(
-            len(running), max(r.context_length for r in running),
-            min(r.remaining for r in running), cut_arrival, clock, memory)
-        self._finish_epoch(running, sink, steps, first_clock, clock, prefix)
-        return clock, steps, steps * comm_per_step
-
     def _price_epoch(self, batch_size: int, context_len: int,
                      num_steps: int, cut_arrival: float | None,
                      clock: float, memory: MemoryHierarchy,
@@ -1067,25 +895,7 @@ class ContinuousBatchingEngine:
         The epoch runs until its ``num_steps``-th step completes the
         shortest requests, or until the first step whose end reaches
         ``cut_arrival`` (the earliest admissible arrival; ``None`` when no
-        arrival can end the epoch).  Priced through the vectorized fast
-        path (memoized per epoch shape) unless the simulator was built with
-        ``exact_stepping=True``, which restores the per-step Python loop;
-        both are bit-identical (pinned in ``tests/test_epoch_pricing.py``).
-        Returns ``(end_clock, steps, first_step_clock, comm_per_step)``.
-        """
-        if self.simulator.exact_stepping:
-            workload = Workload(batch_size=batch_size, input_len=context_len,
-                                output_len=num_steps, name="serving-decode")
-            return self._price_epoch_stepwise(workload, cut_arrival, clock,
-                                              memory)
-        return self._price_epoch_fast(batch_size, context_len, num_steps,
-                                      cut_arrival, clock, memory)
-
-    def _price_epoch_fast(self, batch_size: int, context_len: int,
-                          num_steps: int, cut_arrival: float | None,
-                          clock: float, memory: MemoryHierarchy,
-                          ) -> tuple[float, int, float, float]:
-        """Vectorized epoch pricing with per-shape memoization.
+        arrival can end the epoch).
 
         One ``epoch_timings`` call prices all ``num_steps`` steps as
         arrays; the epoch boundary falls out of a cumulative sum over the
@@ -1097,7 +907,8 @@ class ContinuousBatchingEngine:
         ``prepare``, which for ALISA is the offline schedule search.  A hit
         is priced from the key alone: the :class:`Workload` is only built
         on a miss, and the entry records whether the epoch moves any PCIe
-        bytes so all-zero traffic is not replayed.
+        bytes so all-zero traffic is not replayed.  Returns
+        ``(end_clock, steps, first_step_clock, comm_per_step)``.
         """
         key = (batch_size, context_len, num_steps,
                self.simulator.parallelism.label)
@@ -1146,55 +957,6 @@ class ContinuousBatchingEngine:
         return (float(clocks[steps - 1]), steps, float(clocks[0]),
                 comm_per_step)
 
-    def _price_epoch_stepwise(self, workload: Workload,
-                              cut_arrival: float | None,
-                              clock: float, memory: MemoryHierarchy,
-                              ) -> tuple[float, int, float, float]:
-        """Legacy per-step pricing loop (``exact_stepping=True``)."""
-        self.simulator.prepare(workload)
-        self.simulator.plan_prefill(workload)
-        comm_per_step = self.simulator.parallel_comm_time(workload)
-        steps = 0
-        first_clock = None
-        for step in range(workload.output_len):
-            plan = self.simulator.plan_decode_step(step, workload)
-            timing = self.simulator.step_timing(plan, step, workload, memory)
-            clock += timing.total_time
-            steps += 1
-            if first_clock is None:
-                first_clock = clock
-            if steps == workload.output_len:
-                break  # the final step completes requests; epoch over
-            if cut_arrival is not None and cut_arrival <= clock:
-                break
-        return clock, steps, first_clock, comm_per_step
-
-    def _finish_epoch(self, running: list[_RunningRequest],
-                      sink, steps: int, first_clock: float,
-                      end_clock: float,
-                      prefix: _PrefixCache | None = None) -> None:
-        """Apply an epoch's effects to the clock loop's batch list.
-
-        Clock loop only — :class:`EngineRun` applies epochs through its
-        tick heaps (:meth:`EngineRun._apply_epoch`), and this list-based
-        body stays as the independent reference the golden pins compare
-        it against.  All running requests decrement uniformly, so the
-        finishers are exactly the requests whose remaining output equalled
-        the steps taken, and first tokens land at the epoch's first
-        cumulative clock.
-        """
-        for request in running:
-            request.generated += steps
-            if request.first_token_time is None:
-                request.first_token_time = first_clock
-        finished = [r for r in running if r.remaining <= 0]
-        for done in finished:
-            self._complete(done, sink, end_clock, prefix)
-        if finished:
-            # The epoch ends here; serve() recomputes the reservation
-            # totals from the surviving batch before the next admission.
-            running[:] = [r for r in running if r.remaining > 0]
-
     def _complete(self, done: _RunningRequest, sink, end_clock: float,
                   prefix: _PrefixCache | None) -> None:
         """Record one finished request at ``end_clock``.
@@ -1232,13 +994,14 @@ class ContinuousBatchingEngine:
 class EngineRun:
     """One serve over one engine, as a discrete-event state machine.
 
-    Re-expresses the retained clock loop event by event so that
+    Re-expresses a clock-stepped serving loop (the test-only reference in
+    ``tests/oracles/stepped.py``) event by event so that
     :func:`repro.serving.events.drive` can interleave many runs on a merged
     heap.  The life cycle is: ``offer(request)`` for every routed arrival
     (in ``(arrival_time, request_id)`` order), ``advance()`` whenever the
     driver pops this run's scheduled event, ``close()`` once the arrival
     source is exhausted, and ``finalize()`` after the loop drains — which
-    writes the exact metadata the clock loop writes and returns the trace.
+    writes the serve metadata and returns the trace.
 
     State-machine invariants (they are what keep the event path
     bit-identical to the clock loop):
@@ -1919,13 +1682,13 @@ class EngineRun:
                      comm_per_step: float) -> None:
         """Advance the decode tick and retire exactly the finishers.
 
-        The event-path counterpart of the clock loop's
-        :meth:`ContinuousBatchingEngine._finish_epoch`, in O(finishers):
-        only wrappers that joined since the last epoch are stamped with a
-        first token, finishers are popped off the completion heap in join
-        order (so records reach the sinks in the clock loop's order), and
-        the reservation totals drop by the finishers' footprints plus the
-        prefix cache's change instead of being re-summed.
+        The event-path counterpart of the clock loop's list-based epoch
+        finish, in O(finishers): only wrappers that joined since the last
+        epoch are stamped with a first token, finishers are popped off the
+        completion heap in join order (so records reach the sinks in the
+        clock loop's order), and the reservation totals drop by the
+        finishers' footprints plus the prefix cache's change instead of
+        being re-summed.
         """
         engine = self.engine
         epoch_start = self._clock
@@ -2017,9 +1780,10 @@ class EngineRun:
     def finalize(self):
         """Write the serve metadata and return the trace.
 
-        Produces exactly the metadata the retained clock loop writes —
-        including the empty-trace shape for a run that was never offered a
-        request (a replica the routing policy starved).
+        Produces the clock loop's metadata plus the per-run counters of
+        the price memos and of each enabled scheduling feature — or the
+        empty-trace shape for a run that was never offered a request (a
+        replica the routing policy starved).
         """
         if not self.finished:
             raise ConfigurationError(
@@ -2077,11 +1841,10 @@ class EngineRun:
                 "chunked_tokens": self._chunked_tokens,
                 "max_chunk_s": self._max_chunk_s,
             }
-        if not engine.simulator.exact_stepping:
-            trace.metadata["epoch_cache"] = {
-                "hits": engine._epoch_hits - self._epoch_hits_before,
-                "misses": engine._epoch_misses - self._epoch_misses_before,
-            }
+        trace.metadata["epoch_cache"] = {
+            "hits": engine._epoch_hits - self._epoch_hits_before,
+            "misses": engine._epoch_misses - self._epoch_misses_before,
+        }
         solver_after = engine.simulator.schedule_stats()
         if solver_after:
             trace.metadata["scheduler"] = {

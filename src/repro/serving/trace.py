@@ -18,7 +18,9 @@ latency definitions:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from numbers import Real
 
 from repro._common import ConfigurationError
 from repro.evaluation.metrics import percentiles, serving_goodput
@@ -34,13 +36,30 @@ from repro.workloads.arrivals import SLO_CLASSES
 REQUEST_STATUSES = ("completed", "failed", "shed")
 
 
+def validate_slo(label: str, value) -> None:
+    """Raise unless the SLO ``value`` is ``None`` or a finite number >= 0.
+
+    ``None`` leaves the dimension unconstrained.  A NaN SLO would mark
+    every request compliant (every comparison with NaN is false), so it is
+    rejected along with infinities, negatives, and non-numbers.
+    """
+    if value is None:
+        return
+    if (isinstance(value, bool) or not isinstance(value, Real)
+            or not math.isfinite(value) or value < 0):
+        raise ConfigurationError(
+            f"{label} must be None or a finite number >= 0, got {value!r}"
+        )
+
+
 def normalize_class_slos(class_slos: dict | None) -> dict:
     """Canonicalise a per-class SLO mapping to ``{name: (ttft, tpot)}``.
 
-    Accepts ``{name: (ttft_slo_s, tpot_slo_s)}`` tuples or
+    Accepts ``{name: (ttft_slo_s, tpot_slo_s)}`` pairs or
     ``{name: {"ttft_slo_s": ..., "tpot_slo_s": ...}}`` dicts (missing or
-    ``None`` entries leave that dimension unconstrained).  ``None`` maps to
-    ``{}`` — no class is SLO-constrained.
+    ``None`` entries leave that dimension unconstrained); every SLO must
+    pass :func:`validate_slo`.  ``None`` maps to ``{}`` — no class is
+    SLO-constrained.
     """
     if not class_slos:
         return {}
@@ -58,10 +77,17 @@ def normalize_class_slos(class_slos: dict | None) -> dict:
                     f"class {name!r}: unknown SLO keys {sorted(unknown)}; "
                     f"known: ['tpot_slo_s', 'ttft_slo_s']"
                 )
-            normalized[name] = (slos.get("ttft_slo_s"), slos.get("tpot_slo_s"))
+            pair = (slos.get("ttft_slo_s"), slos.get("tpot_slo_s"))
+        elif isinstance(slos, (tuple, list)) and len(slos) == 2:
+            pair = tuple(slos)
         else:
-            ttft, tpot = slos
-            normalized[name] = (ttft, tpot)
+            raise ConfigurationError(
+                f"class {name!r}: SLOs must be a (ttft_slo_s, tpot_slo_s) "
+                f"pair or a dict, got {slos!r}"
+            )
+        for label, value in zip(("ttft_slo_s", "tpot_slo_s"), pair):
+            validate_slo(f"class {name!r} {label}", value)
+        normalized[name] = pair
     return normalized
 
 

@@ -15,15 +15,17 @@ Both return a :class:`SystemStepPlan`; the base class turns plans into
 :class:`~repro.systems.trace.StepTiming` records and an
 :class:`~repro.systems.trace.InferenceTrace`.  The pricing helpers
 (:meth:`InferenceSimulator.prefill_timing`,
-:meth:`InferenceSimulator.step_timing`) are also driven step-by-step by the
-online serving engine (:mod:`repro.serving.engine`), which manages request
-admission and KV residency itself.
+:meth:`InferenceSimulator.epoch_timings`) are also driven by the online
+serving engine (:mod:`repro.serving.engine`), which manages request
+admission and KV residency itself.  :meth:`InferenceSimulator.step_timing`
+prices one step; it is the per-step reference the vectorized epoch
+pricing is pinned against.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -172,14 +174,9 @@ class InferenceSimulator(ABC):
     def __init__(self, model: ModelConfig | str, hardware: HardwareSpec,
                  compute_dtype: str = "fp16", kv_dtype: str = "fp16",
                  weights_on_gpu: bool = True,
-                 parallelism: ParallelismSpec | None = None,
-                 exact_stepping: bool = False) -> None:
+                 parallelism: ParallelismSpec | None = None) -> None:
         self.config = get_config(model) if isinstance(model, str) else model
         self.hardware = hardware
-        #: Escape hatch mirroring ``SchedulePolicy(exact=True)``: price
-        #: decode epochs with the legacy per-step Python loop instead of
-        #: the vectorized fast path (bit-identical results, much slower).
-        self.exact_stepping = exact_stepping
         if parallelism is None:
             # Multi-GPU nodes default to tensor parallelism across all GPUs;
             # the cost model validates degree == gpu_count either way.
@@ -271,7 +268,6 @@ class InferenceSimulator(ABC):
             self.cost_model.dtype, self.kv_dtype, self.weights_on_gpu,
             self.parallelism.mode, self.parallelism.degree,
             self.parallelism.pp_microbatches, self.overlap_io,
-            self.exact_stepping,
         )
 
     # ------------------------------------------------------------------ #
@@ -432,8 +428,9 @@ class InferenceSimulator(ABC):
         """Simulate one end-to-end inference run of ``workload``.
 
         Decode steps are priced through the vectorized epoch fast path
-        (:meth:`epoch_timings`) unless ``exact_stepping=True`` restores the
-        legacy per-step loop; both produce bit-identical traces.
+        (:meth:`epoch_timings`); traces are bit-identical to pricing each
+        step with :meth:`plan_decode_step` + :meth:`step_timing` (pinned
+        against the per-step oracle in ``tests/test_epoch_pricing.py``).
         """
         memory = MemoryHierarchy.from_hardware(self.hardware)
         trace = InferenceTrace(
@@ -450,26 +447,14 @@ class InferenceSimulator(ABC):
             trace.prefill_time = self.prefill_timing(prefill_plan, workload,
                                                      memory)
             self._apply_memory(prefill_plan, workload, memory)
-
-            if self.exact_stepping:
-                for step in range(workload.output_len):
-                    plan = self.plan_decode_step(step, workload)
-                    timing = self.step_timing(plan, step, workload, memory)
-                    self._apply_memory(plan, workload, memory)
-                    trace.add_step(replace(
-                        timing,
-                        gpu_used_bytes=memory.gpu.used_bytes,
-                        cpu_used_bytes=memory.cpu.used_bytes,
-                    ))
-            else:
-                self._run_decode_fast(workload, memory, trace)
+            self._run_decode(workload, memory, trace)
         except OutOfMemoryError as exc:
             trace.oom = True
             trace.oom_reason = str(exc)
         return trace
 
-    def _run_decode_fast(self, workload: Workload, memory: MemoryHierarchy,
-                         trace: InferenceTrace) -> None:
+    def _run_decode(self, workload: Workload, memory: MemoryHierarchy,
+                    trace: InferenceTrace) -> None:
         """Epoch-priced decode loop of :meth:`run`.
 
         Pricing is vectorized; only the per-step memory-ledger updates

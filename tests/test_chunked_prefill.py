@@ -33,10 +33,10 @@ from repro.workloads.sessions import sessions
 MODEL = "opt-6.7b"
 
 
-def engine(*, chunk=None, max_batch_size=None, preemption=None,
-           **kwargs) -> ContinuousBatchingEngine:
+def engine(*, chunk=None, max_batch_size=None,
+           preemption=None) -> ContinuousBatchingEngine:
     return ContinuousBatchingEngine(
-        FlexGenSystem(MODEL, V100_16GB_NODE, **kwargs),
+        FlexGenSystem(MODEL, V100_16GB_NODE),
         max_batch_size=max_batch_size, preemption=preemption,
         prefill_chunk_tokens=chunk)
 
@@ -288,7 +288,3 @@ class TestValidation:
             engine(chunk=0)
         with pytest.raises(ConfigurationError, match="prefill_chunk_tokens"):
             engine(chunk=-64)
-
-    def test_exact_stepping_combination_rejected(self):
-        with pytest.raises(ConfigurationError, match="exact_stepping"):
-            engine(chunk=64, exact_stepping=True)

@@ -29,10 +29,10 @@ EXACT_KEYS = ("num_requests", "generated_tokens", "duration_s",
               "prefix_hit_rate", "num_preemptions")
 
 
-def engine(*, max_batch_size=None, preemption=None,
-           **kwargs) -> ContinuousBatchingEngine:
+def engine(*, max_batch_size=None,
+           preemption=None) -> ContinuousBatchingEngine:
     return ContinuousBatchingEngine(
-        FlexGenSystem(MODEL, V100_16GB_NODE, **kwargs),
+        FlexGenSystem(MODEL, V100_16GB_NODE),
         max_batch_size=max_batch_size, preemption=preemption)
 
 
@@ -170,11 +170,6 @@ class TestClosedLoopServe:
         assert source.exhausted
         leftover = engine().serve(source)
         assert leftover.num_requests == 0
-
-    def test_exact_stepping_rejected(self):
-        eng = engine(exact_stepping=True)
-        with pytest.raises(ConfigurationError, match="closed-loop"):
-            eng.serve(chat(num_sessions=2).closed_loop())
 
     def test_composes_with_preemption_classes(self):
         spec = chat(num_sessions=16, rate=6.0, seed=5,

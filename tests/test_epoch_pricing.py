@@ -1,11 +1,11 @@
 """Bit-identity of the vectorized epoch pricing fast path.
 
 The fast path (``InferenceSimulator.epoch_timings`` +
-``ContinuousBatchingEngine._price_epoch_fast``) must be a pure
-re-expression of the per-step loop: same plans, same prices, same traces,
-bit for bit.  These tests pin that across systems, KV dtypes, shard
-shapes, and random workloads (hypothesis), and pin the serving/offline
-traces against the ``exact_stepping=True`` escape hatch.
+``ContinuousBatchingEngine._price_epoch``) must be a pure re-expression of
+the per-step loop: same plans, same prices, same traces, bit for bit.
+These tests pin that across systems, KV dtypes, shard shapes, and random
+workloads (hypothesis), and pin the serving/offline traces against the
+per-step oracle in ``tests/oracles``.
 """
 
 import numpy as np
@@ -20,15 +20,17 @@ from repro.baselines import (
     GPUOnlySystem,
     VLLMSystem,
 )
+from repro.cluster import ClusterLayout, ReplicaGroup
 from repro.core.engine import AlisaSystem
 from repro.core.scheduler import DynamicScheduler, SchedulerConfig
 from repro.core.swa import SWAConfig
-from repro.hardware.presets import V100_16GB_NODE, multi_gpu
+from repro.hardware.presets import NVLINK, V100_16GB_NODE, multi_gpu
 from repro.serving import ContinuousBatchingEngine
 from repro.systems.cost import ParallelismSpec
 from repro.systems.memory import MemoryHierarchy
 from repro.workloads.arrivals import generate_requests
 from repro.workloads.descriptors import Workload
+from tests.oracles import SteppedEngine, run_stepwise
 
 MODEL = "opt-6.7b"
 
@@ -56,6 +58,17 @@ def build_system(system: str, shard: str = "none", **kwargs):
     if parallelism is not None:
         kwargs["parallelism"] = parallelism
     return SYSTEM_BUILDERS[system](hardware, **kwargs)
+
+
+def stepped_group(factory, **kwargs):
+    """The per-step oracle twin of ``ReplicaGroup.from_layout(factory,
+    "2x(none)", V100_16GB_NODE, **kwargs)``: same nodes, stepped engines."""
+    layout = ClusterLayout.parse("2x(none)")
+    spec = layout.cluster_spec(V100_16GB_NODE, NVLINK)
+    return ReplicaGroup(
+        [SteppedEngine(factory(spec.node, layout.parallelism))
+         for _ in range(spec.num_replicas)],
+        cluster=spec, **kwargs)
 
 
 def stepwise_reference(system, workload):
@@ -153,7 +166,7 @@ class TestEpochTimingsMatchStepLoop:
 
 
 class TestServingFastPathGoldenPins:
-    """serve()/run() with the fast path are bit-identical to exact stepping."""
+    """serve()/run() with the fast path are bit-identical to the oracle."""
 
     REQUESTS = dict(rate=16.0, input_len=256, output_len=128, seed=5)
 
@@ -165,8 +178,8 @@ class TestServingFastPathGoldenPins:
         requests = generate_requests(12, **self.REQUESTS)
         fast = ContinuousBatchingEngine(
             build_system(system, shard)).serve(requests)
-        exact = ContinuousBatchingEngine(
-            build_system(system, shard, exact_stepping=True)).serve(requests)
+        exact = SteppedEngine(
+            build_system(system, shard)).serve_clock_loop(requests)
         assert fast.records == exact.records
         assert fast.summary() == exact.summary()
         for key in ("kv_budget_tokens", "peak_reserved_tokens", "num_epochs",
@@ -185,42 +198,34 @@ class TestServingFastPathGoldenPins:
         assert (second.metadata["epoch_cache"]["hits"]
                 == second.metadata["num_epochs"])
         assert second.records == first.records
-        # The exact path reports no epoch cache (it never consults one).
-        exact = ContinuousBatchingEngine(
-            build_system("alisa", exact_stepping=True)).serve(requests)
-        assert "epoch_cache" not in exact.metadata
+        # The per-step oracle never consults the memo: zero counters.
+        stepped = SteppedEngine(build_system("alisa")).serve(requests)
+        assert stepped.metadata["epoch_cache"] == {"hits": 0, "misses": 0}
+        assert stepped.records == first.records
 
     @pytest.mark.parametrize("system", ["alisa", "alisa-static", "flexgen",
                                         "accelerate", "vllm"])
     def test_offline_run_bit_identical(self, system):
         workload = Workload(16, 256, 200, "offline")
         fast = build_system(system).run(workload)
-        exact = build_system(system, exact_stepping=True).run(workload)
+        exact = run_stepwise(build_system(system), workload)
         assert fast.prefill_time == exact.prefill_time
         assert fast.steps == exact.steps
         assert fast.summary() == exact.summary()
 
-    def test_cluster_serve_bit_identical_to_exact_stepping(self):
+    def test_cluster_serve_bit_identical_to_stepped(self):
         # The replica-group fast path (per-replica epoch memos, shared
-        # prefill plans) must reproduce the exact-stepping cluster trace
-        # bit for bit, including with ALISA's history-dependent default
-        # schedule policy.
-        from repro.cluster import ReplicaGroup
-
-        def factory(exact_stepping):
-            def build(node, parallelism):
-                return AlisaSystem(MODEL, node, kv_sparsity=0.8,
-                                   parallelism=parallelism,
-                                   exact_stepping=exact_stepping)
-            return build
+        # prefill plans) must reproduce the stepped cluster trace bit for
+        # bit, including with ALISA's history-dependent default schedule
+        # policy.
+        def build(node, parallelism):
+            return AlisaSystem(MODEL, node, kv_sparsity=0.8,
+                               parallelism=parallelism)
 
         requests = generate_requests(16, rate=32.0, pattern="bursty", seed=3)
-        fast = ReplicaGroup.from_layout(factory(False), "2x(none)",
-                                        V100_16GB_NODE, policy="jsq",
-                                        seed=3).serve(requests)
-        exact = ReplicaGroup.from_layout(factory(True), "2x(none)",
-                                         V100_16GB_NODE, policy="jsq",
-                                         seed=3).serve(requests)
+        fast = ReplicaGroup.from_layout(build, "2x(none)", V100_16GB_NODE,
+                                        policy="jsq", seed=3).serve(requests)
+        exact = stepped_group(build, policy="jsq", seed=3).serve(requests)
         assert fast.records == exact.records
         assert fast.summary() == exact.summary()
 
@@ -235,10 +240,10 @@ class TestServingFastPathGoldenPins:
     }
 
     @pytest.mark.parametrize("system", sorted(PCIE_BUILDERS))
-    def test_warm_engine_serve_matches_exact_stepping(self, system):
+    def test_warm_engine_serve_matches_stepped(self, system):
         # The second serve prices every prefill and epoch from the memos
         # (replayed link bytes, skipped all-zero traffic) and must still
-        # reproduce the exact-stepping trace and PCIe ledger bit for bit.
+        # reproduce the stepped trace and PCIe ledger bit for bit.
         build = self.PCIE_BUILDERS[system]
         requests = generate_requests(16, 4.0, pattern="bursty", seed=3,
                                      max_len=512)
@@ -246,31 +251,26 @@ class TestServingFastPathGoldenPins:
         engine.serve(requests)
         warm = engine.serve(requests)
         assert warm.metadata["epoch_cache"]["misses"] == 0
-        exact = ContinuousBatchingEngine(
-            build(V100_16GB_NODE, exact_stepping=True)).serve(requests)
+        exact = SteppedEngine(
+            build(V100_16GB_NODE)).serve_clock_loop(requests)
         assert exact.metadata["pcie_bytes"] > 0.0
         assert warm.records == exact.records
         assert warm.metadata["pcie_bytes"] == exact.metadata["pcie_bytes"]
 
     @pytest.mark.parametrize("system", sorted(PCIE_BUILDERS))
-    def test_warm_group_serve_matches_exact_stepping(self, system):
-        from repro.cluster import ReplicaGroup
-
+    def test_warm_group_serve_matches_stepped(self, system):
         build = self.PCIE_BUILDERS[system]
 
-        def group(exact_stepping):
-            return ReplicaGroup.from_layout(
-                lambda node, parallelism: build(
-                    node, parallelism=parallelism,
-                    exact_stepping=exact_stepping),
-                "2x(none)", V100_16GB_NODE, policy="jsq", seed=3)
+        def factory(node, parallelism):
+            return build(node, parallelism=parallelism)
 
         requests = generate_requests(16, 4.0, pattern="bursty", seed=3,
                                      max_len=512)
-        fast = group(False)
+        fast = ReplicaGroup.from_layout(factory, "2x(none)", V100_16GB_NODE,
+                                        policy="jsq", seed=3)
         fast.serve(requests)
         warm = fast.serve(requests)
-        exact = group(True).serve(requests)
+        exact = stepped_group(factory, policy="jsq", seed=3).serve(requests)
         warm_bytes = [t.metadata["pcie_bytes"] for t in warm.replica_traces]
         exact_bytes = [t.metadata["pcie_bytes"]
                        for t in exact.replica_traces]
@@ -288,7 +288,6 @@ class TestServingFastPathGoldenPins:
         assert set(engine._prefill_plans) == cached_shapes
 
     def test_replica_group_shares_pricing_caches(self):
-        from repro.cluster import ReplicaGroup
         from repro.core.schedule_cache import SchedulePolicy
 
         def factory(node, parallelism):

@@ -46,10 +46,8 @@ CLASS_SLOS = {"interactive": (2.0, 0.2), "batch": (30.0, 2.0)}
 
 
 def engine(**kwargs) -> ContinuousBatchingEngine:
-    system_kwargs = {key: kwargs.pop(key) for key in ("exact_stepping",)
-                     if key in kwargs}
-    return ContinuousBatchingEngine(
-        FlexGenSystem(MODEL, V100_16GB_NODE, **system_kwargs), **kwargs)
+    return ContinuousBatchingEngine(FlexGenSystem(MODEL, V100_16GB_NODE),
+                                    **kwargs)
 
 
 def requests(n=16, rate=4.0, seed=3, **kwargs):
@@ -194,11 +192,6 @@ class TestNoFaultBitIdentity:
             engine().serve(requests(), retry=RetryPolicy())
         with pytest.raises(ConfigurationError, match="faults"):
             engine().serve(requests(), shedding=LoadShedder())
-
-    def test_exact_stepping_rejects_faults(self):
-        with pytest.raises(ConfigurationError):
-            engine(exact_stepping=True).serve(requests(),
-                                              faults=crash_at())
 
 
 # --------------------------------------------------------------------- #

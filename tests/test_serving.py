@@ -14,7 +14,12 @@ from repro.core.schedule_cache import (
 from repro.evaluation.metrics import percentiles, serving_goodput
 from repro.experiments import list_experiments, run_experiment
 from repro.hardware.presets import V100_16GB_NODE
-from repro.serving import ContinuousBatchingEngine, RequestRecord, ServingTrace
+from repro.serving import (
+    ContinuousBatchingEngine,
+    RequestRecord,
+    ServingTrace,
+    normalize_class_slos,
+)
 from repro.workloads.arrivals import (
     Request,
     bursty_arrival_times,
@@ -196,6 +201,13 @@ class TestContinuousBatchingEngine:
         with pytest.raises(ConfigurationError):
             engine.serve([Request(0, 0.0, input_len=4000, output_len=4000)])
 
+    @pytest.mark.parametrize("fraction", [-0.1, 1.5, float("nan")])
+    def test_reserve_fraction_outside_unit_interval_rejected(self, fraction):
+        # A negative head-room would budget more KV than the GPU holds; the
+        # others used to surface later as a misleading admission error.
+        with pytest.raises(ConfigurationError, match="reserve_fraction"):
+            flexgen_engine(reserve_fraction=fraction)
+
     def test_alisa_compression_doubles_admission_budget(self):
         requests = generate_requests(4, rate=4.0, input_len=64,
                                      output_len=32, seed=0)
@@ -213,6 +225,50 @@ class TestContinuousBatchingEngine:
             trace = ContinuousBatchingEngine(system).serve(requests)
             assert trace.num_requests == len(requests)
             assert trace.throughput > 0
+
+
+class TestSLOValidation:
+    """Malformed SLOs fail up front with ConfigurationError.
+
+    A NaN SLO would otherwise mark every request compliant, because every
+    comparison with NaN is false.
+    """
+
+    @pytest.mark.parametrize("slos", [
+        (1, 2, 3), (1.0,), 5.0, "fast", None,
+        (float("nan"), 0.1), (2.0, -0.1), (float("inf"), None),
+        ("2", 0.1), {"ttft_slo_s": float("nan")}, {"tpot_slo_s": -1.0},
+    ])
+    def test_malformed_class_slos_rejected(self, slos):
+        with pytest.raises(ConfigurationError, match="interactive"):
+            normalize_class_slos({"interactive": slos})
+
+    def test_well_formed_class_slos_normalized(self):
+        assert normalize_class_slos({
+            "interactive": [0, 1],
+            "batch": {"tpot_slo_s": 0.5},
+        }) == {"interactive": (0, 1), "batch": (None, 0.5)}
+        assert normalize_class_slos({"interactive": (2.0, None)}) == \
+            {"interactive": (2.0, None)}
+
+    @pytest.mark.parametrize("record_mode", ["full", "streaming"])
+    @pytest.mark.parametrize("slos", [
+        {"ttft_slo_s": float("nan")}, {"tpot_slo_s": float("nan")},
+        {"ttft_slo_s": -1.0}, {"tpot_slo_s": float("inf")},
+        {"ttft_slo_s": "5"},
+    ])
+    def test_malformed_serve_slos_rejected(self, record_mode, slos):
+        requests = generate_requests(2, rate=4.0, input_len=32,
+                                     output_len=8, seed=0)
+        with pytest.raises(ConfigurationError, match="slo_s"):
+            flexgen_engine().serve(requests, record_mode=record_mode, **slos)
+
+    def test_malformed_class_slos_rejected_at_serve(self):
+        requests = generate_requests(2, rate=4.0, input_len=32,
+                                     output_len=8, seed=0)
+        with pytest.raises(ConfigurationError, match="interactive"):
+            flexgen_engine().serve(
+                requests, class_slos={"interactive": (float("nan"), 0.1)})
 
 
 class TestIncrementalScheduling:

@@ -1,7 +1,7 @@
 """Tests for the event-driven serving core (repro.serving.events).
 
-Covers the tentpole contracts: the event heap reproduces the retained
-clock-stepped loop bit-identically in ``record_mode="full"``, streaming
+Covers the tentpole contracts: the event heap reproduces the
+clock-stepped oracle loop bit-identically in ``record_mode="full"``, streaming
 traces agree on every exact aggregate, request streams are byte-identical
 to materialized traces, and the merged cluster event stream matches
 serving the routed shares directly.
@@ -25,6 +25,7 @@ from repro.serving.events import (
     drive,
 )
 from repro.workloads.arrivals import RequestStream, generate_requests
+from tests.oracles import SteppedEngine
 
 MODEL = "opt-6.7b"
 
@@ -33,8 +34,8 @@ EXACT_KEYS = ("num_requests", "generated_tokens", "duration_s",
               "throughput_tokens_per_s", "mean_queueing_delay_s")
 
 
-def engine(system=FlexGenSystem, **kwargs) -> ContinuousBatchingEngine:
-    return ContinuousBatchingEngine(system(MODEL, V100_16GB_NODE, **kwargs))
+def engine(system=FlexGenSystem) -> ContinuousBatchingEngine:
+    return ContinuousBatchingEngine(system(MODEL, V100_16GB_NODE))
 
 
 def requests(n=24, rate=4.0, seed=3, **kwargs):
@@ -42,11 +43,17 @@ def requests(n=24, rate=4.0, seed=3, **kwargs):
                              max_len=512, **kwargs)
 
 
+def clock_loop(system=FlexGenSystem, n=24):
+    """The per-step clock-loop oracle's trace of ``requests(n)``."""
+    return SteppedEngine(system(MODEL, V100_16GB_NODE)
+                         ).serve_clock_loop(requests(n))
+
+
 class TestEventLoopBitIdentity:
     @pytest.mark.parametrize("system", [FlexGenSystem, VLLMSystem])
     def test_event_serve_matches_clock_loop_exactly(self, system):
         trace_event = engine(system).serve(requests())
-        trace_clock = engine(system, exact_stepping=True).serve(requests())
+        trace_clock = clock_loop(system)
         assert trace_event.records == trace_clock.records
         assert trace_event.summary() == trace_clock.summary()
         for key in ("kv_budget_tokens", "peak_reserved_tokens", "num_epochs",
@@ -55,10 +62,10 @@ class TestEventLoopBitIdentity:
             assert trace_event.metadata[key] == trace_clock.metadata[key], key
 
     def test_alisa_event_serve_matches_clock_loop(self):
-        def build(model, node, **kwargs):
-            return AlisaSystem(model, node, kv_sparsity=0.8, **kwargs)
+        def build(model, node):
+            return AlisaSystem(model, node, kv_sparsity=0.8)
         trace_event = engine(build).serve(requests(n=12))
-        trace_clock = engine(build, exact_stepping=True).serve(requests(n=12))
+        trace_clock = clock_loop(build, n=12)
         assert trace_event.records == trace_clock.records
 
     def test_full_mode_golden_pin(self):
@@ -150,14 +157,15 @@ class TestStreamingEquivalence:
     @settings(max_examples=15, deadline=None)
     def test_property_event_loop_matches_step_loop(self, n, seed, rate):
         # For any workload: the event-driven serve is bit-identical to the
-        # retained clock-stepped loop in full mode, the streaming sketch
+        # clock-stepped oracle loop in full mode, the streaming sketch
         # trace agrees with both on every exact aggregate, and its
         # percentile estimates sit within the observed value range (P²
         # estimates never extrapolate).
         trace_requests = generate_requests(n, rate, pattern="poisson",
                                            seed=seed, max_len=256)
         full = engine().serve(trace_requests)
-        stepped = engine(exact_stepping=True).serve(trace_requests)
+        stepped = SteppedEngine(FlexGenSystem(MODEL, V100_16GB_NODE)
+                                ).serve_clock_loop(trace_requests)
         assert full.records == stepped.records
         stream = engine().serve(trace_requests, record_mode="streaming")
         for key in EXACT_KEYS:
@@ -256,11 +264,6 @@ class TestRequestStream:
             RequestStream(10, rate=0.0)
         with pytest.raises(ConfigurationError, match="generate_requests"):
             RequestStream(10, rate=1.0, pattern="fractal")
-
-    def test_exact_stepping_rejects_streams(self):
-        stream = RequestStream(10, rate=2.0, input_len=64, output_len=32)
-        with pytest.raises(ConfigurationError, match="exact_stepping"):
-            engine(exact_stepping=True).serve(stream)
 
 
 class TestDriveValidation:

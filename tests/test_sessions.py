@@ -27,15 +27,16 @@ from repro.workloads.sessions import (
     replay_requests,
     sessions,
 )
+from tests.oracles import SteppedEngine
 
 MODEL = "opt-6.7b"
 
 
 def engine(system=FlexGenSystem, *, max_batch_size=None, preemption=None,
-           prefix_reuse=True, prefill_chunk_tokens=None,
-           **kwargs) -> ContinuousBatchingEngine:
+           prefix_reuse=True,
+           prefill_chunk_tokens=None) -> ContinuousBatchingEngine:
     return ContinuousBatchingEngine(
-        system(MODEL, V100_16GB_NODE, **kwargs),
+        system(MODEL, V100_16GB_NODE),
         max_batch_size=max_batch_size, preemption=preemption,
         prefix_reuse=prefix_reuse, prefill_chunk_tokens=prefill_chunk_tokens)
 
@@ -172,18 +173,19 @@ class TestPrefixReuse:
     def test_event_and_clock_paths_agree_on_sessions(self):
         workload = chat()
         trace_event = engine().serve(workload.requests())
-        trace_clock = engine(exact_stepping=True).serve(workload.requests())
+        trace_clock = SteppedEngine(FlexGenSystem(
+            MODEL, V100_16GB_NODE)).serve_clock_loop(workload.requests())
         assert trace_event.records == trace_clock.records
         assert trace_event.metadata["prefix_cache"] == \
             trace_clock.metadata["prefix_cache"]
 
     def test_alisa_sessions_event_clock_parity(self):
-        def build(model, node, **kwargs):
-            return AlisaSystem(model, node, kv_sparsity=0.8, **kwargs)
+        def build(model, node):
+            return AlisaSystem(model, node, kv_sparsity=0.8)
         workload = chat(num_sessions=8)
         trace_event = engine(build).serve(workload.requests())
-        trace_clock = engine(build, exact_stepping=True).serve(
-            workload.requests())
+        trace_clock = SteppedEngine(build(
+            MODEL, V100_16GB_NODE)).serve_clock_loop(workload.requests())
         assert trace_event.records == trace_clock.records
 
 
@@ -198,8 +200,6 @@ class TestPreemption:
     def test_unknown_mode_and_clock_loop_rejected(self):
         with pytest.raises(ConfigurationError, match="preemption"):
             engine(preemption="swap")
-        with pytest.raises(ConfigurationError, match="exact_stepping"):
-            engine(preemption="retain", exact_stepping=True)
         assert set(PREEMPTION_MODES) == {None, "retain", "recompute"}
 
     @pytest.mark.parametrize("mode", ["retain", "recompute"])
