@@ -317,7 +317,8 @@ def main() -> None:
           f"({1e6 * elapsed / n_stream:.0f} us/request)")
     print(f"throughput {summary['throughput_tokens_per_s']:.0f} tok/s, "
           f"mean queueing delay {summary['mean_queueing_delay_s']:.3f}s, "
-          f"p99 TTFT (P^2 estimate) {summary['p99_ttft_s']:.3f}s")
+          f"p99 TTFT (sketch estimate, 1% relative error) "
+          f"{summary['p99_ttft_s']:.3f}s")
     print(f"dispatch counts: {trace.metadata['routing']['dispatch_counts']}")
     print("(The same event-driven path scales to one million requests "
           "under a flat memory ceiling — see "

@@ -5,17 +5,16 @@ scales it *up*: a :class:`ReplicaGroup` runs several independent sharded
 :class:`~repro.serving.engine.ContinuousBatchingEngine` replicas, a
 :class:`Router` load-balances the arrival trace across them (round-robin,
 join-shortest-queue by KV footprint, or least-loaded by estimated
-completion time), and a :class:`ClusterTrace` merges the per-replica
-serving traces into cluster-level latency/goodput metrics while keeping
-per-replica breakdowns.  :class:`ClusterLayout` parses the compact axis
-labels (``"tp-4"``, ``"2x(tp-2)"``) the serving sweep's ``cluster`` axis
-accepts.
+completion time), and :meth:`~repro.serving.trace.ServingTrace.merge`
+folds the per-replica serving traces into one cluster-level trace (in
+either record mode) while keeping per-replica breakdowns.
+:class:`ClusterLayout` parses the compact axis labels (``"tp-4"``,
+``"2x(tp-2)"``) the serving sweep's ``cluster`` axis accepts.
 """
 
 from repro.cluster.group import ReplicaGroup, SimulatorFactory
 from repro.cluster.layout import ClusterLayout
 from repro.cluster.router import ROUTING_POLICIES, Router
-from repro.cluster.trace import ClusterTrace, StreamingClusterTrace
 from repro.hardware.presets import (
     ClusterSpec,
     cluster_of,
@@ -26,11 +25,9 @@ __all__ = [
     "ROUTING_POLICIES",
     "ClusterLayout",
     "ClusterSpec",
-    "ClusterTrace",
     "ReplicaGroup",
     "Router",
     "SimulatorFactory",
-    "StreamingClusterTrace",
     "cluster_of",
     "validate_equal_gpu_count",
 ]

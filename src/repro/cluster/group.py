@@ -5,8 +5,8 @@ A :class:`ReplicaGroup` owns N independent
 with its own simulator, hardware node, parallelism spec, and schedule
 cache — and serves one arrival trace by routing every request to exactly
 one replica (:class:`~repro.cluster.router.Router`), simulating each
-replica over its share, and merging the per-replica traces into a
-:class:`~repro.cluster.trace.ClusterTrace`.
+replica over its share, and merging the per-replica traces with
+:meth:`~repro.serving.trace.ServingTrace.merge`.
 
 This is the scale-out axis on top of the scale-up axis: tensor/pipeline
 parallelism makes one replica bigger, replica groups add more of them, and
@@ -22,11 +22,6 @@ from typing import Callable
 from repro._common import ConfigurationError
 from repro.cluster.layout import ClusterLayout
 from repro.cluster.router import Router
-from repro.cluster.trace import (
-    ClusterTrace,
-    StreamingClusterTrace,
-    attach_replicas,
-)
 from repro.hardware.presets import (
     NVLINK,
     ClusterSpec,
@@ -35,6 +30,7 @@ from repro.hardware.presets import (
 )
 from repro.serving.engine import ContinuousBatchingEngine
 from repro.serving.events import check_observers, drive, notify_finish
+from repro.serving.trace import ServingTrace
 from repro.systems.cost import ParallelismSpec
 from repro.systems.simulator import InferenceSimulator
 from repro.workloads.arrivals import Request, RequestStream
@@ -239,11 +235,11 @@ class ReplicaGroup:
         observer, and replicas run with ``eager_epochs=True`` (see
         :func:`~repro.serving.events.drive`).
 
-        ``record_mode="full"`` returns a :class:`ClusterTrace` with one
-        record per request; ``"streaming"`` a
-        :class:`~repro.cluster.trace.StreamingClusterTrace` in O(1) memory
-        whose goodput SLOs are fixed by ``ttft_slo_s``/``tpot_slo_s`` (and,
-        per SLO class, by ``class_slos``).
+        The result is the :meth:`~repro.serving.trace.ServingTrace.merge`
+        of the replicas' traces in either record mode (see
+        :meth:`~repro.serving.engine.ContinuousBatchingEngine.serve` for
+        ``record_mode`` and the SLOs), so its summary adds
+        ``num_replicas`` and ``tokens_imbalance``.
         ``metadata["routing"]`` records the policy, seed, and per-replica
         dispatch counts, ``metadata["replicas"]`` the per-replica
         breakdowns.  ``event_journal``, when given, receives every
@@ -269,17 +265,9 @@ class ReplicaGroup:
         started = perf_counter()
         policy = self.policy if policy is None else policy
         seed = self.seed if seed is None else seed
-        simulator = self.engines[0].simulator
-        streaming = record_mode == "streaming"
         traces = [engine.make_trace(record_mode, ttft_slo_s, tpot_slo_s,
-                                    quantiles=() if streaming else None)
+                                    class_slos)
                   for engine in self.engines]
-        cluster_trace = None
-        if streaming:
-            cluster_trace = StreamingClusterTrace(
-                system=simulator.name, model=simulator.config.name,
-                ttft_slo_s=ttft_slo_s, tpot_slo_s=tpot_slo_s,
-                class_slos=class_slos)
 
         def assemble(traces, dispatch_counts, bounds):
             metadata = {
@@ -310,20 +298,12 @@ class ReplicaGroup:
             # engine's hit/miss counters are per engine, so per-replica
             # deltas sum without double counting.
             metadata["epoch_cache"] = self._aggregate_epoch_cache(traces)
-            if not streaming:
-                return ClusterTrace.merge(traces, system=simulator.name,
-                                          model=simulator.config.name,
-                                          metadata=metadata)
-            cluster_trace.metadata.update(metadata)
-            attach_replicas(cluster_trace, traces)
-            return cluster_trace
+            return ServingTrace.merge(traces, metadata)
 
         trace = serve_replicas(
             self.engines, requests, lambda: self._route_fn(policy, seed),
-            traces, assemble, record_mode=record_mode,
-            sink=None if cluster_trace is None else cluster_trace.observe,
-            journal=event_journal, observers=observers, faults=faults,
-            retry=retry, shedding=shedding)
+            traces, assemble, journal=event_journal, observers=observers,
+            faults=faults, retry=retry, shedding=shedding)
         trace.metadata["wall_clock_s"] = perf_counter() - started
         notify_finish(observers, trace, class_slos)
         return trace
@@ -354,9 +334,8 @@ def _arrival_key(request: Request) -> tuple[float, int]:
 
 def serve_replicas(engines: list[ContinuousBatchingEngine], requests,
                    routing: Callable[[], tuple], traces: list,
-                   assemble: Callable, record_mode: str = "full",
-                   sink=None, journal: list | None = None, observers=None,
-                   faults=None, retry=None, shedding=None):
+                   assemble: Callable, journal: list | None = None,
+                   observers=None, faults=None, retry=None, shedding=None):
     """The one event-driven serve body, over one run per engine.
 
     :meth:`ReplicaGroup.serve` calls it with its replicas and
@@ -365,15 +344,14 @@ def serve_replicas(engines: list[ContinuousBatchingEngine], requests,
     fresh ``(route, router)`` pair: ``route(request) -> index``, and the
     :class:`Router` behind it (``None`` for a fixed route), which tallies
     dispatches and which a fault serve marks replicas down on.
-    ``traces`` holds one empty trace per engine.  ``sink``, when given,
-    receives every record as well (the cluster's streaming trace); in
-    streaming mode a fault serve's terminal failed/shed records go to it,
-    or to the only trace when there is none.
+    ``traces`` holds one empty trace per engine.
     ``assemble(traces, dispatch_counts, bounds)`` builds the result from
     the finalized run traces, ``bounds`` being the global
     ``(max_input_len, max_output_len)`` of the arrivals (``None`` for an
-    empty list).  A fault serve's full-mode result gains its terminal
-    records, and every fault serve the ``resilience`` metadata block.
+    empty list).  A fault serve's result then absorbs the trace its
+    coordinator observed the failed and shed requests into
+    (:meth:`~repro.serving.trace.ServingTrace.absorb`), and gains the
+    ``resilience`` metadata block.
     """
     observers = check_observers(observers)
     closed_loop = hasattr(requests, "pop_next")
@@ -436,19 +414,9 @@ def serve_replicas(engines: list[ContinuousBatchingEngine], requests,
                 observer.on_assign(request.arrival_time, request, target)
             return target
 
-    record_observer = sink
-    if closed_loop:
-        # Every completion must reach the source so it can schedule the
-        # session's next turn; the sink (when any) still sees each record
-        # exactly once.
-        feedback = requests.on_completion
-        if sink is None:
-            record_observer = feedback
-        else:
-            def record_observer(record):
-                sink(record)
-                feedback(record)
-
+    # Every completion must reach a closed-loop source so it can schedule
+    # the session's next turn.
+    record_observer = requests.on_completion if closed_loop else None
     runs = [engine.start_run(trace, *(share or (None, None)),
                              observer=record_observer,
                              eager_epochs=closed_loop, observers=observers,
@@ -464,20 +432,16 @@ def serve_replicas(engines: list[ContinuousBatchingEngine], requests,
         from repro.faults import FaultCoordinator
         coordinator = FaultCoordinator(faults, retry=retry,
                                        shedder=shedding)
+        terminal = traces[0].empty()
         coordinator.bind(runs, route, router=router, observers=observers,
-                         record_sink=(sink or traces[0].observe
-                                      if record_mode == "streaming"
-                                      else None))
+                         terminal=terminal)
     drive(source, runs, route, journal=journal, observers=observers,
           faults=coordinator)
     result = assemble([run.finalize() for run in runs],
                       None if router is None else router.dispatch_counts,
                       bounds)
     if coordinator is not None:
-        if record_mode != "streaming":
-            result.records.extend(coordinator.records)
-            result.records.sort(
-                key=lambda r: (r.completion_time, r.request_id))
+        result.absorb(terminal)
         result.metadata["resilience"] = coordinator.resilience(
             result.duration, num_runs)
     return result

@@ -171,10 +171,11 @@ def serving_rate_sweep(model: str = "opt-6.7b",
     schedules, much slower at high arrival rates).
 
     ``record_mode="streaming"`` serves every row through bounded-memory
-    streaming traces (:mod:`repro.serving.sketches`): exact counts,
-    throughput, delays, and goodput; P² estimates for the latency
-    percentiles.  Use it when ``num_requests`` is large enough that
-    retaining per-request records would dominate memory.
+    traces that keep no records: exact counts, throughput, delays, and
+    goodput; log-bucket sketch estimates (:mod:`repro.serving.sketches`,
+    1% relative error) for the latency percentiles.  Use it when
+    ``num_requests`` is large enough that retaining per-request records
+    would dominate memory.
 
     ``observers`` is a zero-argument factory returning a fresh observer
     list for every serve row (observers such as

@@ -53,8 +53,8 @@ class FaultCoordinator:
         self.schedule = schedule
         self.retry = retry if retry is not None else RetryPolicy()
         self.shedder = shedder
-        #: Terminal ``failed``/``shed`` records (full record mode; in
-        #: streaming mode they flow through ``record_sink`` instead).
+        #: Terminal ``failed``/``shed`` records when bound without a
+        #: ``terminal`` trace (the serve layers always bind one).
         self.records: list[RequestRecord] = []
         self.num_failures = 0
         self.num_retries = 0
@@ -78,15 +78,15 @@ class FaultCoordinator:
     # wiring
     # ------------------------------------------------------------------ #
     def bind(self, runs, route, router=None, observers=(),
-             record_sink=None) -> None:
+             terminal=None) -> None:
         """Attach the serve's runs, routing, and sinks before driving.
 
         ``route(request) -> index`` must only ever return an up replica
         (the health-aware router guarantees this; the coordinator parks
-        arrivals itself while *no* replica is up).  ``record_sink``, when
-        given, receives terminal ``failed``/``shed`` records as they
-        happen (streaming mode); otherwise they collect in
-        :attr:`records`.
+        arrivals itself while *no* replica is up).  ``terminal``, when
+        given, is the :class:`~repro.serving.trace.ServingTrace` that
+        observes terminal ``failed``/``shed`` records as they happen;
+        otherwise they collect in :attr:`records`.
         """
         if self.schedule.max_replica() >= len(runs):
             raise ConfigurationError(
@@ -98,7 +98,7 @@ class FaultCoordinator:
         self._route = route
         self._router = router
         self._observers = tuple(observers)
-        self._record_sink = record_sink
+        self._terminal = terminal
         self._gauges = [run.gauges() for run in self._runs]
         for run in self._runs:
             run.set_record_filter(self.annotate)
@@ -213,8 +213,8 @@ class FaultCoordinator:
             status=status,
             retries=self._attempts.get(request.request_id, 0),
         )
-        if self._record_sink is not None:
-            self._record_sink(record)
+        if self._terminal is not None:
+            self._terminal.observe(record)
         else:
             self.records.append(record)
 

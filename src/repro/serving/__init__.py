@@ -4,8 +4,9 @@ Generalizes the paper's offline Section VI protocol to multi-request
 serving: arrival traces (:mod:`repro.workloads.arrivals`) are driven through
 any :class:`~repro.systems.simulator.InferenceSimulator` by the
 :class:`ContinuousBatchingEngine`, producing per-request TTFT/TPOT/latency
-records in a :class:`ServingTrace` — or, with ``record_mode="streaming"``,
-bounded-memory sketch summaries in a :class:`StreamingTrace`.  The engine
+records in a :class:`ServingTrace`.  With ``record_mode="streaming"`` the
+trace keeps no records, only exact aggregates and mergeable log-bucket
+sketches (:class:`LogBucketSketch`), so its memory stays bounded.  The engine
 is event-driven (:mod:`repro.serving.events`): runs advance through an
 event heap instead of a global clock loop, so arrival traces can be lazy
 :class:`~repro.workloads.arrivals.RequestStream` iterators of any length.
@@ -28,14 +29,7 @@ from repro.serving.events import (
     ContinuationSource,
     drive,
 )
-from repro.serving.sketches import (
-    DEFAULT_QUANTILES,
-    P2Quantile,
-    StreamingGoodput,
-    StreamingMean,
-    StreamingPercentiles,
-    StreamingTrace,
-)
+from repro.serving.sketches import LogBucketSketch
 from repro.serving.trace import (
     RequestRecord,
     ServingTrace,
@@ -47,7 +41,6 @@ __all__ = [
     "ADMISSION",
     "ARRIVAL",
     "COMPLETION",
-    "DEFAULT_QUANTILES",
     "EPOCH_BOUNDARY",
     "PREEMPTION",
     "PREEMPTION_MODES",
@@ -57,15 +50,11 @@ __all__ = [
     "ContinuationSource",
     "ContinuousBatchingEngine",
     "EngineRun",
-    "P2Quantile",
+    "LogBucketSketch",
     "Request",
     "RequestRecord",
     "RequestStream",
     "ServingTrace",
-    "StreamingGoodput",
-    "StreamingMean",
-    "StreamingPercentiles",
-    "StreamingTrace",
     "drive",
     "normalize_class_slos",
 ]

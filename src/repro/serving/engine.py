@@ -25,11 +25,11 @@ reservation, per-shard budgets/occupancy, epoch/step counts, PCIe traffic,
 communication-time share, and (for systems that plan offline) per-serve
 scheduler-cache counters.
 
-``record_mode="streaming"`` swaps the retained trace for a
-:class:`~repro.serving.sketches.StreamingTrace`: the same summary surface,
-O(1) memory, percentiles estimated by P² sketches, and goodput SLOs fixed
-at serve time (``ttft_slo_s``/``tpot_slo_s``).  Everything except the
-percentile estimates is exact and identical to the retained trace.
+``record_mode="streaming"`` returns the same trace class without the
+retained records: O(1) memory, percentiles estimated by log-bucket
+sketches within a stated relative error, and goodput answered for the
+SLOs fixed at serve time (``ttft_slo_s``/``tpot_slo_s``).  Everything
+except the percentile estimates is exact and identical to full mode.
 
 Event-driven core
 -----------------
@@ -136,13 +136,7 @@ from repro._common import (ConfigurationError, validate_fraction,
                             validate_positive)
 from repro.serving.events import (ADMISSION, COMPLETION, EPOCH_BOUNDARY,
                                   PREEMPTION, PREFILL_CHUNK, notify_finish)
-from repro.serving.sketches import DEFAULT_QUANTILES, StreamingTrace
-from repro.serving.trace import (
-    RequestRecord,
-    ServingTrace,
-    normalize_class_slos,
-    validate_slo,
-)
+from repro.serving.trace import RequestRecord, ServingTrace
 from repro.systems.memory import MemoryHierarchy, PCIeLink
 from repro.systems.simulator import EpochTimings, InferenceSimulator
 from repro.workloads.arrivals import SLO_CLASSES, Request
@@ -677,19 +671,12 @@ class ContinuousBatchingEngine:
         ``requests`` is a list of :class:`Request` or a
         :class:`~repro.workloads.arrivals.RequestStream` (bounded memory:
         the stream is consumed one arrival at a time and never
-        materialized).  ``record_mode="full"`` (default) returns a
-        :class:`ServingTrace` with one retained record per request;
-        ``"streaming"`` returns a
-        :class:`~repro.serving.sketches.StreamingTrace` with the same
-        summary surface in O(1) memory — ``ttft_slo_s``/``tpot_slo_s`` fix
-        the goodput SLOs the streaming trace will answer for (ignored in
-        full mode, where goodput is computed from the retained records).
-
-        ``class_slos`` fixes the per-``slo_class`` goodput SLOs that
-        :meth:`~repro.serving.sketches.StreamingTrace.per_class_summary`
-        will answer for.  Like the scalar SLOs it only *binds* in
-        streaming mode (full mode computes per-class figures from the
-        retained records on demand), but it is validated in both.
+        materialized).  Both record modes return a :class:`ServingTrace`:
+        ``record_mode="full"`` (default) retains one record per request,
+        ``"streaming"`` keeps only the fold, in O(1) memory.
+        ``ttft_slo_s``/``tpot_slo_s`` and the per-``slo_class``
+        ``class_slos`` fix the goodput SLOs the trace folds as records
+        arrive; only full mode can answer for other SLOs afterwards.
 
         ``observers`` is an optional list of :class:`repro.obs.Observer`
         instances receiving every simulated-time event (see
@@ -722,26 +709,20 @@ class ContinuousBatchingEngine:
         trace = serve_replicas(
             [self], requests, lambda: (lambda request: 0, None),
             [trace], lambda traces, counts, bounds: traces[0],
-            record_mode=record_mode, observers=observers, faults=faults,
-            retry=retry, shedding=shedding)
+            observers=observers, faults=faults, retry=retry,
+            shedding=shedding)
         trace.metadata["wall_clock_s"] = perf_counter() - started
         notify_finish(observers, trace, class_slos)
         return trace
 
     def make_trace(self, record_mode: str, ttft_slo_s: float | None = None,
-                   tpot_slo_s: float | None = None, quantiles=None,
-                   class_slos: dict | None = None):
+                   tpot_slo_s: float | None = None,
+                   class_slos: dict | None = None) -> ServingTrace:
         """Empty trace of the requested ``record_mode``, base metadata set.
 
-        ``quantiles`` (streaming mode only) overrides the percentile ranks
-        the streaming trace sketches; ``None`` keeps the defaults.  The
-        cluster layer passes ``quantiles=()`` for its per-replica sinks,
-        whose summaries need only counts and totals — that disables the
-        sketches entirely.  The SLOs are validated in both modes, so a
-        malformed one fails here rather than in a later goodput query.
+        The mode and the SLOs are validated here, so a malformed one fails
+        before serving rather than in a later goodput query.
         """
-        validate_slo("ttft_slo_s", ttft_slo_s)
-        validate_slo("tpot_slo_s", tpot_slo_s)
         parallelism = self.simulator.parallelism
         metadata = {"hardware": self.simulator.hardware.name,
                     "kv_dtype": self.simulator.kv_dtype,
@@ -749,28 +730,9 @@ class ContinuousBatchingEngine:
                                     "degree": parallelism.degree,
                                     "label": parallelism.label},
                     "record_mode": record_mode}
-        if record_mode == "full":
-            # Full mode derives per-class figures from the retained records
-            # on demand, but a malformed mapping should fail here, exactly
-            # as it would have in streaming mode.
-            normalize_class_slos(class_slos)
-            return ServingTrace(system=self.simulator.name,
-                                model=self.simulator.config.name,
-                                metadata=metadata)
-        if record_mode == "streaming":
-            return StreamingTrace(system=self.simulator.name,
-                                  model=self.simulator.config.name,
-                                  metadata=metadata,
-                                  quantiles=(DEFAULT_QUANTILES
-                                             if quantiles is None
-                                             else quantiles),
-                                  ttft_slo_s=ttft_slo_s,
-                                  tpot_slo_s=tpot_slo_s,
-                                  class_slos=class_slos)
-        raise ConfigurationError(
-            f"unknown record_mode {record_mode!r}; known: ['full', "
-            f"'streaming']"
-        )
+        return ServingTrace(self.simulator.name, self.simulator.config.name,
+                            metadata, record_mode, ttft_slo_s, tpot_slo_s,
+                            class_slos)
 
     def start_run(self, trace, max_input_len: int | None = None,
                   max_output_len: int | None = None,
@@ -785,8 +747,8 @@ class ContinuousBatchingEngine:
         builds an idle run that may never be offered a request (a replica a
         routing policy starved; it finalizes to the empty-trace metadata).
         ``observer`` is an extra per-record sink called after the trace
-        observes each completion (the cluster layer's streaming fan-out,
-        or a closed-loop source's ``on_completion``).  ``eager_epochs``
+        observes each completion (a closed-loop source's
+        ``on_completion``).  ``eager_epochs``
         must be True for runs driven by a closed-loop source: the run then
         prices epochs without waiting for its next queue head (which may
         depend on its own completions).  ``observers`` are the serve's
@@ -964,10 +926,8 @@ class ContinuousBatchingEngine:
         A finishing non-final session turn hands its KV to the prefix cache
         instead of freeing it (when ``prefix_reuse`` is on).  ``sink`` is
         anything with ``observe(record)``: a
-        :class:`~repro.serving.trace.ServingTrace`, a
-        :class:`~repro.serving.sketches.StreamingTrace`, or an
-        :class:`EngineRun` fanning records out to both a trace and a
-        cluster-level sink.
+        :class:`~repro.serving.trace.ServingTrace`, or an
+        :class:`EngineRun` fanning records out to its trace and observers.
         """
         request = done.request
         if (prefix is not None and self.prefix_reuse
@@ -1121,7 +1081,7 @@ class EngineRun:
                          tokens)
 
     # ------------------------------------------------------------------ #
-    # record sink (fans out to the trace and an optional cluster sink)
+    # record sink (fans out to the trace, a closed-loop source, observers)
     # ------------------------------------------------------------------ #
     def observe(self, record: RequestRecord) -> None:
         if self._record_filter is not None:

@@ -1,538 +1,124 @@
-"""Streaming metric sketches: serving summaries in bounded memory.
+"""Mergeable relative-error quantile sketch for the serving traces.
 
-A retained :class:`~repro.serving.trace.ServingTrace` holds one
-:class:`~repro.serving.trace.RequestRecord` per request, so its memory grows
-linearly with trace length — fine for a 24-request sweep row, fatal for the
-ROADMAP's "millions of users".  This module provides the streaming
-counterpart: every metric the serving summary reports is folded into O(1)
-state per metric as records are observed, and the records themselves are
-dropped.
+A :class:`~repro.serving.trace.ServingTrace` folds every latency metric
+into one :class:`LogBucketSketch`, so a ``record_mode="streaming"`` serve
+answers percentiles in memory that does not grow with trace length, and a
+cluster trace answers them by merging its replicas' sketches.
 
-* :class:`P2Quantile` — the P² piecewise-parabolic online quantile
-  estimator of Jain & Chlamtac (1985): five markers per quantile, exact
-  below five observations, O(1) update and memory after that;
-* :class:`StreamingPercentiles` — a bank of :class:`P2Quantile` mirroring
-  :func:`repro.evaluation.metrics.percentiles`;
-* :class:`StreamingMean` / :class:`StreamingGoodput` — exact count/mean and
-  SLO-conditioned goodput accumulators;
-* :class:`StreamingTrace` — the ``record_mode="streaming"`` stand-in for
-  :class:`~repro.serving.trace.ServingTrace`: same summary surface
-  (``num_requests``, ``duration``, ``throughput``, ``*_percentiles``,
-  ``goodput``, ``summary``), no retained records.
+The sketch is the log-bucket scheme of DDSketch (Masson, Rim & Lee, VLDB
+2019, https://arxiv.org/abs/1908.10693): a positive value ``x`` lands in
+bucket ``ceil(log_gamma(x))`` with ``gamma = (1 + ALPHA) / (1 - ALPHA)``,
+zeros in a bucket of their own, and a bucket reports the point within
+relative ``ALPHA`` of everything it holds.  Error contract:
 
-Exactness contract: counts, token totals, duration, throughput, mean
-queueing delay, and goodput are *exact* (identical float arithmetic to the
-retained trace, records observed in the same order).  Percentiles are P²
-*estimates* — exact for traces of fewer than five requests, approximate
-beyond that — so comparisons against retained traces belong inside sketch
-error bounds (see ``tests/test_sketches.py`` and the equivalence tests in
-``tests/test_serving_events.py``).
-
-Because SLO compliance must be judged the moment a record is observed (the
-record is then gone), a streaming trace fixes its goodput SLOs at
-construction; :meth:`StreamingTrace.goodput` answers only for those SLOs
-(or for the unconstrained case, which needs no per-record state).
+* below :data:`EXACT_BELOW` values the raw values are kept and a quantile
+  is exact (:func:`numpy.percentile`'s linear interpolation, like the
+  retained trace);
+* from then on, the ``q``-th percentile is within relative ``ALPHA`` of
+  the exact lower order statistic ``np.percentile(values, q,
+  method="lower")``, and never outside the exact minimum and maximum;
+* merging is exact: ``a.merge(b)`` leaves ``a`` in the state one sketch
+  fed both streams would have, in any order.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro._common import ConfigurationError
-from repro.serving.trace import RequestRecord, normalize_class_slos
 
-#: Percentile ranks tracked by default — the ones ``summary()`` reports.
-DEFAULT_QUANTILES = (50, 90, 99)
+#: Relative accuracy of every sketch estimate (see the module docstring).
+ALPHA = 0.01
+#: Below this many values a sketch answers exactly.
+EXACT_BELOW = 5
+
+_GAMMA = (1.0 + ALPHA) / (1.0 - ALPHA)
+_INV_LOG_GAMMA = 1.0 / math.log(_GAMMA)
+#: A bucket ``(gamma**(i-1), gamma**i]`` reports ``gamma**i * _MIDPOINT``,
+#: which is within relative ``ALPHA`` of both ends.
+_MIDPOINT = 2.0 / (1.0 + _GAMMA)
 
 
-class P2Quantile:
-    """P² online estimator of a single quantile (Jain & Chlamtac, 1985).
+@dataclass(slots=True)
+class LogBucketSketch:
+    """Counts of non-negative values in relative-width log buckets."""
 
-    Keeps five markers whose heights approximate the quantile curve: the
-    minimum, the maximum, the target quantile ``q``, and the midpoints
-    ``q/2`` and ``(1+q)/2``.  Each observation shifts marker positions and
-    adjusts heights by a piecewise-parabolic (hence P²) interpolation, so
-    the estimate converges without retaining observations.  Below five
-    observations the exact values are kept and the quantile is computed
-    directly (matching :func:`numpy.percentile`).
-    """
+    count: int = 0
+    zeros: int = 0
+    buckets: dict[int, int] = field(default_factory=dict)
+    min: float = math.inf
+    max: float = -math.inf
+    #: The sorted values while fewer than :data:`EXACT_BELOW` were added.
+    exact: list[float] | None = field(default_factory=list)
 
-    __slots__ = ("quantile", "count", "_markers", "_positions", "_desired",
-                 "_rates")
-
-    def __init__(self, quantile: float) -> None:
-        if not 0.0 < quantile < 1.0:
+    def add(self, value: float) -> None:
+        if not 0.0 <= value < math.inf:
+            # NaN fails the comparison too, so it is refused here instead
+            # of silently landing in no bucket.
             raise ConfigurationError(
-                f"quantile must lie strictly in (0, 1), got {quantile!r}"
-            )
-        self.quantile = float(quantile)
-        self.count = 0
-        self._markers: list[float] = []
-        self._positions: list[float] | None = None
-        self._desired: list[float] | None = None
-        q = self.quantile
-        self._rates = (0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0)
-
-    def observe(self, value: float) -> None:
-        value = float(value)
-        if math.isnan(value):
-            # NaN poisons every marker comparison silently (all orderings
-            # are False), so the sketch would drift without any error —
-            # reject it at the door instead.
-            raise ConfigurationError(
-                "cannot observe NaN: P² marker comparisons are undefined"
+                f"sketch values must be finite and >= 0, got {value!r}"
             )
         self.count += 1
-        markers = self._markers
-        if self._positions is None:
-            bisect.insort(markers, value)
-            if len(markers) == 5:
-                q = self.quantile
-                self._positions = [1.0, 2.0, 3.0, 4.0, 5.0]
-                self._desired = [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q,
-                                 3.0 + 2.0 * q, 5.0]
-            return
-        positions = self._positions
-        if value < markers[0]:
-            markers[0] = value
-            cell = 0
-        elif value >= markers[4]:
-            markers[4] = value
-            cell = 3
+        if value < self.min:
+            self.min = value
+        if value > self.max:
+            self.max = value
+        if value == 0.0:
+            self.zeros += 1
         else:
-            cell = 0
-            while value >= markers[cell + 1]:
-                cell += 1
-        for i in range(cell + 1, 5):
-            positions[i] += 1.0
-        desired = self._desired
-        rates = self._rates
-        for i in range(1, 5):
-            desired[i] += rates[i]
-        for i in (1, 2, 3):
-            gap = desired[i] - positions[i]
-            if ((gap >= 1.0 and positions[i + 1] - positions[i] > 1.0)
-                    or (gap <= -1.0 and positions[i - 1] - positions[i] < -1.0)):
-                step = 1.0 if gap >= 1.0 else -1.0
-                candidate = self._parabolic(i, step)
-                # P² falls back to linear interpolation whenever the
-                # parabolic candidate would break marker monotonicity.
-                if not markers[i - 1] < candidate < markers[i + 1]:
-                    candidate = self._linear(i, step)
-                markers[i] = candidate
-                positions[i] += step
-
-    def _parabolic(self, i: int, step: float) -> float:
-        markers, positions = self._markers, self._positions
-        outer = step / (positions[i + 1] - positions[i - 1])
-        above = ((positions[i] - positions[i - 1] + step)
-                 * (markers[i + 1] - markers[i])
-                 / (positions[i + 1] - positions[i]))
-        below = ((positions[i + 1] - positions[i] - step)
-                 * (markers[i] - markers[i - 1])
-                 / (positions[i] - positions[i - 1]))
-        return markers[i] + outer * (above + below)
-
-    def _linear(self, i: int, step: float) -> float:
-        markers, positions = self._markers, self._positions
-        j = i + int(step)
-        return (markers[i] + step * (markers[j] - markers[i])
-                / (positions[j] - positions[i]))
-
-    @property
-    def value(self) -> float:
-        """Current estimate of the tracked quantile."""
-        if self.count == 0:
-            raise ConfigurationError(
-                "the quantile of an empty stream is undefined"
-            )
-        if self._positions is None:
-            # Fewer than five observations: exact, matching np.percentile.
-            return float(np.percentile(self._markers, self.quantile * 100.0))
-        return self._markers[2]
-
-
-class StreamingPercentiles:
-    """A bank of :class:`P2Quantile` keyed like ``metrics.percentiles``."""
-
-    __slots__ = ("qs", "_estimators")
-
-    def __init__(self, qs=DEFAULT_QUANTILES) -> None:
-        qs = tuple(float(q) for q in qs)
-        if not qs:
-            raise ConfigurationError("need at least one percentile rank")
-        for q in qs:
-            if not 0.0 < q < 100.0:
-                raise ConfigurationError(
-                    f"percentile ranks must lie in (0, 100), got {q!r}"
-                )
-        self.qs = qs
-        self._estimators = [P2Quantile(q / 100.0) for q in qs]
-
-    def observe(self, value: float) -> None:
-        for estimator in self._estimators:
-            estimator.observe(value)
-
-    @property
-    def count(self) -> int:
-        return self._estimators[0].count
-
-    def values(self) -> dict[float, float]:
-        """``{rank: estimate}`` like :func:`~repro.evaluation.metrics.percentiles`
-        (``{}`` when nothing was observed, matching the empty-trace shape)."""
-        if self.count == 0:
-            return {}
-        return {q: estimator.value
-                for q, estimator in zip(self.qs, self._estimators)}
-
-
-class StreamingMean:
-    """Exact running count/sum/mean (mean 0.0 when nothing observed)."""
-
-    __slots__ = ("count", "total")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.total = 0.0
-
-    def observe(self, value: float) -> None:
-        self.count += 1
-        self.total += float(value)
-
-    @property
-    def mean(self) -> float:
-        if self.count == 0:
-            return 0.0
-        return self.total / self.count
-
-
-class StreamingGoodput:
-    """Tokens from SLO-compliant requests, folded record by record.
-
-    Mirrors :func:`repro.evaluation.metrics.serving_goodput` (a request is
-    compliant when ``ttft <= ttft_slo_s`` and ``tpot <= tpot_slo_s``; a
-    ``None`` SLO leaves that dimension unconstrained) — but the judgment is
-    made when each record is observed, so the SLOs are fixed up front.
-    """
-
-    __slots__ = ("ttft_slo_s", "tpot_slo_s", "observed", "compliant",
-                 "good_tokens")
-
-    def __init__(self, ttft_slo_s: float | None = None,
-                 tpot_slo_s: float | None = None) -> None:
-        self.ttft_slo_s = ttft_slo_s
-        self.tpot_slo_s = tpot_slo_s
-        self.observed = 0
-        self.compliant = 0
-        self.good_tokens = 0
-
-    def observe(self, record: RequestRecord) -> None:
-        self.observed += 1
-        if self.ttft_slo_s is not None and record.ttft > self.ttft_slo_s:
-            return
-        if self.tpot_slo_s is not None and record.tpot > self.tpot_slo_s:
-            return
-        self.compliant += 1
-        self.good_tokens += record.output_len
-
-    def goodput(self, duration_s: float) -> float:
-        if duration_s <= 0:
-            return 0.0
-        return self.good_tokens / duration_s
-
-
-class StreamingTrace:
-    """Bounded-memory stand-in for :class:`~repro.serving.trace.ServingTrace`.
-
-    Selected by ``record_mode="streaming"`` on
-    :meth:`~repro.serving.engine.ContinuousBatchingEngine.serve` and
-    :meth:`~repro.cluster.group.ReplicaGroup.serve`.  Implements the same
-    summary surface — ``num_requests``, ``duration``, ``generated_tokens``,
-    ``throughput``, ``mean_queueing_delay``, ``*_percentiles``, ``goodput``,
-    ``summary`` — over O(1) state, so memory does not grow with trace
-    length.  There is deliberately no ``records`` attribute: anything that
-    needs per-request records needs ``record_mode="full"``.
-
-    ``quantiles=None`` disables percentile sketches entirely (the
-    percentile methods then return ``{}``); the cluster layer uses this for
-    its per-replica sinks, whose summaries only need counts and totals.
-    """
-
-    def __init__(self, system: str, model: str, metadata: dict | None = None,
-                 quantiles=DEFAULT_QUANTILES,
-                 ttft_slo_s: float | None = None,
-                 tpot_slo_s: float | None = None,
-                 class_slos: dict | None = None) -> None:
-        self.system = system
-        self.model = model
-        self.metadata = dict(metadata or {})
-        self.ttft_slo_s = ttft_slo_s
-        self.tpot_slo_s = tpot_slo_s
-        self.class_slos = normalize_class_slos(class_slos)
-        quantiles = tuple(quantiles) if quantiles else None
-        if quantiles is not None:
-            self._ttft = StreamingPercentiles(quantiles)
-            self._tpot = StreamingPercentiles(quantiles)
-            self._latency = StreamingPercentiles(quantiles)
-        else:
-            self._ttft = self._tpot = self._latency = None
-        self._quantiles = quantiles
-        self._count = 0
-        self._completed = 0
-        self._failed = 0
-        self._shed = 0
-        self._retries = 0
-        self._tokens = 0
-        self._duration = 0.0
-        self._queueing = StreamingMean()
-        self._goodput = StreamingGoodput(ttft_slo_s=ttft_slo_s,
-                                         tpot_slo_s=tpot_slo_s)
-        # Per-SLO-class accumulators (created lazily on first observation
-        # of each class) plus prefix-reuse counters — the streaming side of
-        # ServingTrace.per_class_summary / prefix_hit_rate.  Per-class
-        # goodput SLOs are fixed at construction via ``class_slos``, for
-        # the same reason the trace-level SLOs are.
-        self._classes: dict[str, dict] = {}
-        self._prefix_bearing = 0
-        self._prefix_hits = 0
-        self._preemptions = 0
-        # Chunked-prefill / preemption-latency columns: the chunk total is
-        # exact; the preemption-wait P99 is a P² estimate and follows the
-        # ``quantiles`` gate like every other sketch.
-        self._prefill_chunks = 0
-        self._preempt_wait = (P2Quantile(0.99) if quantiles is not None
-                              else None)
-
-    # ------------------------------------------------------------------ #
-    # record sink
-    # ------------------------------------------------------------------ #
-    def observe(self, record: RequestRecord) -> None:
-        """Fold one terminated-request record into the running summary.
-
-        Mirrors :class:`~repro.serving.trace.ServingTrace`'s status
-        filtering: ``failed``/``shed`` records (fault injection only)
-        extend the makespan and the resilience counters but contribute to
-        no latency/token metric — they never generated tokens.
-        """
-        self._count += 1
-        self._retries += record.retries
-        if record.completion_time > self._duration:
-            self._duration = record.completion_time
-        if record.status != "completed":
-            if record.status == "failed":
-                self._failed += 1
+            index = math.ceil(math.log(value) * _INV_LOG_GAMMA)
+            self.buckets[index] = self.buckets.get(index, 0) + 1
+        if self.exact is not None:
+            if self.count < EXACT_BELOW:
+                bisect.insort(self.exact, value)
             else:
-                self._shed += 1
-            return
-        self._completed += 1
-        self._tokens += record.output_len
-        self._queueing.observe(record.queueing_delay)
-        self._goodput.observe(record)
-        if self._ttft is not None:
-            self._ttft.observe(record.ttft)
-            self._tpot.observe(record.tpot)
-            self._latency.observe(record.e2e_latency)
-        accumulator = self._classes.get(record.slo_class)
-        if accumulator is None:
-            ttft_slo_s, tpot_slo_s = self.class_slos.get(record.slo_class,
-                                                         (None, None))
-            accumulator = {"tokens": 0, "ttft": StreamingMean(),
-                           "queueing": StreamingMean(),
-                           "goodput": StreamingGoodput(
-                               ttft_slo_s=ttft_slo_s,
-                               tpot_slo_s=tpot_slo_s)}
-            self._classes[record.slo_class] = accumulator
-        accumulator["tokens"] += record.output_len
-        accumulator["ttft"].observe(record.ttft)
-        accumulator["queueing"].observe(record.queueing_delay)
-        accumulator["goodput"].observe(record)
-        if record.prefix_len > 0:
-            self._prefix_bearing += 1
-            self._prefix_hits += record.prefix_hit
-        self._preemptions += record.preemptions
-        self._prefill_chunks += record.prefill_chunks
-        if record.preempting and self._preempt_wait is not None:
-            self._preempt_wait.observe(record.queueing_delay)
+                self.exact = None
 
-    # ------------------------------------------------------------------ #
-    # aggregate metrics (ServingTrace surface)
-    # ------------------------------------------------------------------ #
-    @property
-    def num_requests(self) -> int:
-        return self._count
+    def merge(self, other: "LogBucketSketch") -> None:
+        """Fold ``other`` into this sketch."""
+        self.count += other.count
+        self.zeros += other.zeros
+        for index, count in other.buckets.items():
+            self.buckets[index] = self.buckets.get(index, 0) + count
+        self.min = min(self.min, other.min)
+        self.max = max(self.max, other.max)
+        self.exact = (sorted(self.exact + other.exact)
+                      if self.count < EXACT_BELOW else None)
 
-    @property
-    def duration(self) -> float:
-        """Makespan: serve start (t=0) to the last observed completion."""
-        return self._duration
-
-    @property
-    def generated_tokens(self) -> int:
-        return self._tokens
-
-    @property
-    def throughput(self) -> float:
-        if self._duration <= 0:
-            return 0.0
-        return self._tokens / self._duration
-
-    @property
-    def mean_queueing_delay(self) -> float:
-        return self._queueing.mean
-
-    @property
-    def num_failed(self) -> int:
-        """Requests that exhausted their retry budget under failures."""
-        return self._failed
-
-    @property
-    def num_shed(self) -> int:
-        """Requests dropped by degraded-mode load shedding."""
-        return self._shed
-
-    @property
-    def num_retries(self) -> int:
-        """Total re-dispatches across all terminated requests."""
-        return self._retries
-
-    def _percentiles(self, bank: StreamingPercentiles | None, qs) \
-            -> dict[float, float]:
-        if bank is None or self._completed == 0:
-            return {}
-        values = bank.values()
-        missing = [q for q in qs if float(q) not in values]
-        if missing:
+    def quantile(self, q: float) -> float:
+        """Estimate of the ``q``-th percentile, ``0 <= q <= 100``."""
+        if self.count == 0:
             raise ConfigurationError(
-                f"streaming trace tracks percentiles {list(bank.qs)}; "
-                f"{missing} were not configured at construction"
+                "the quantile of an empty sketch is undefined"
             )
-        return {float(q): values[float(q)] for q in qs}
-
-    def ttft_percentiles(self, qs=DEFAULT_QUANTILES) -> dict[float, float]:
-        return self._percentiles(self._ttft, qs)
-
-    def tpot_percentiles(self, qs=DEFAULT_QUANTILES) -> dict[float, float]:
-        return self._percentiles(self._tpot, qs)
-
-    def latency_percentiles(self, qs=DEFAULT_QUANTILES) -> dict[float, float]:
-        return self._percentiles(self._latency, qs)
-
-    def goodput(self, ttft_slo_s: float | None = None,
-                tpot_slo_s: float | None = None) -> float:
-        """SLO-conditioned token goodput for the SLOs fixed at construction.
-
-        The unconstrained case (both ``None``) needs no per-record state and
-        is always answerable; any other SLO pair must equal the one this
-        trace was built with, because compliance was judged as records
-        streamed by.
-        """
-        if ttft_slo_s is None and tpot_slo_s is None:
-            if self._duration <= 0:
-                return 0.0
-            return self._tokens / self._duration
-        if (ttft_slo_s, tpot_slo_s) != (self.ttft_slo_s, self.tpot_slo_s):
+        if not 0.0 <= q <= 100.0:
             raise ConfigurationError(
-                f"streaming goodput was accumulated for SLOs "
-                f"(ttft={self.ttft_slo_s!r}, tpot={self.tpot_slo_s!r}); "
-                f"(ttft={ttft_slo_s!r}, tpot={tpot_slo_s!r}) would need the "
-                f"retained records (record_mode='full')"
+                f"percentile ranks must lie in [0, 100], got {q!r}"
             )
-        return self._goodput.goodput(self._duration)
-
-    # ------------------------------------------------------------------ #
-    # session / SLO-class columns (ServingTrace surface)
-    # ------------------------------------------------------------------ #
-    @property
-    def prefix_hit_rate(self) -> float:
-        """Fraction of prefix-bearing requests whose prefix was resident."""
-        if self._prefix_bearing == 0:
+        if self.exact is not None:
+            return float(np.percentile(self.exact, q))
+        # Index of the lower order statistic, computed like NumPy does.
+        rank = math.floor(q / 100.0 * (self.count - 1))
+        seen = self.zeros
+        if rank < seen:
             return 0.0
-        return self._prefix_hits / self._prefix_bearing
+        for index in sorted(self.buckets):
+            seen += self.buckets[index]
+            if seen > rank:
+                estimate = _GAMMA ** index * _MIDPOINT
+                return min(max(estimate, self.min), self.max)
+        raise AssertionError("bucket counts do not sum to the count")
 
-    @property
-    def num_preemptions(self) -> int:
-        """Total preemptions suffered across all observed requests."""
-        return self._preemptions
 
-    @property
-    def p99_preemption_latency(self) -> float:
-        """P² estimate of the P99 preemptor queueing delay (0.0 when
-        nothing preempted, or when sketches are disabled)."""
-        if self._preempt_wait is None or self._preempt_wait.count == 0:
-            return 0.0
-        return self._preempt_wait.value
-
-    @property
-    def prefill_chunks_per_request(self) -> float:
-        """Mean prefill chunks per request — exact, like the token totals."""
-        if self._completed == 0:
-            return 0.0
-        return self._prefill_chunks / self._completed
-
-    def per_class_summary(self, class_slos: dict | None = None) -> dict:
-        """Per-SLO-class breakdown with ``ServingTrace``'s keys.
-
-        Like :meth:`goodput`, per-class SLO compliance was judged as
-        records streamed by, so ``class_slos`` must either be
-        ``None``/empty (unconstrained goodput — always answerable, it is
-        just per-class throughput) or match the mapping this trace was
-        built with.
-        """
-        requested = normalize_class_slos(class_slos)
-        unconstrained = not requested
-        if not unconstrained and requested != self.class_slos:
-            raise ConfigurationError(
-                f"streaming per-class goodput was accumulated for class "
-                f"SLOs {self.class_slos!r}; {requested!r} would need the "
-                f"retained records (record_mode='full')"
-            )
-        duration = self._duration
-        out = {}
-        for name in sorted(self._classes):
-            accumulator = self._classes[name]
-            if unconstrained:
-                goodput = (accumulator["tokens"] / duration
-                           if duration > 0 else 0.0)
-            else:
-                goodput = accumulator["goodput"].goodput(duration)
-            out[name] = {
-                "num_requests": accumulator["ttft"].count,
-                "generated_tokens": accumulator["tokens"],
-                "goodput_tokens_per_s": goodput,
-                "mean_ttft_s": accumulator["ttft"].mean,
-                "mean_queueing_delay_s": accumulator["queueing"].mean,
-            }
-        return out
-
-    def summary(self) -> dict:
-        """Flat summary with the same keys as ``ServingTrace.summary()``."""
-        ttft = self.ttft_percentiles() if self._ttft is not None else {}
-        tpot = self.tpot_percentiles() if self._tpot is not None else {}
-        latency = (self.latency_percentiles()
-                   if self._latency is not None else {})
-        return {
-            "system": self.system,
-            "model": self.model,
-            "num_requests": self.num_requests,
-            "generated_tokens": self.generated_tokens,
-            "duration_s": self.duration,
-            "throughput_tokens_per_s": self.throughput,
-            "mean_queueing_delay_s": self.mean_queueing_delay,
-            "p50_ttft_s": ttft.get(50.0, 0.0),
-            "p90_ttft_s": ttft.get(90.0, 0.0),
-            "p99_ttft_s": ttft.get(99.0, 0.0),
-            "p50_tpot_s": tpot.get(50.0, 0.0),
-            "p99_tpot_s": tpot.get(99.0, 0.0),
-            "p50_latency_s": latency.get(50.0, 0.0),
-            "p99_latency_s": latency.get(99.0, 0.0),
-            "prefix_hit_rate": self.prefix_hit_rate,
-            "num_preemptions": self.num_preemptions,
-            "p99_preemption_latency_s": self.p99_preemption_latency,
-            "prefill_chunks_per_request": self.prefill_chunks_per_request,
-            "num_failed": self.num_failed,
-            "num_shed": self.num_shed,
-            "num_retries": self.num_retries,
-        }
+def __getattr__(name: str):
+    # The benchmark's layer timer (perfbench/spans.py) names the sink
+    # layer ``repro.serving.sketches.StreamingTrace.observe``; the name
+    # resolves to the one trace class, whose ``observe`` it also wraps.
+    if name == "StreamingTrace":
+        from repro.serving.trace import ServingTrace
+        return ServingTrace
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

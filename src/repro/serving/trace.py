@@ -19,12 +19,18 @@ latency definitions:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from numbers import Real
+from operator import attrgetter
 
 from repro._common import ConfigurationError
 from repro.evaluation.metrics import percentiles, serving_goodput
+from repro.serving.sketches import LogBucketSketch
 from repro.workloads.arrivals import SLO_CLASSES
+
+#: What a serve keeps per request: ``"full"`` retains every record,
+#: ``"streaming"`` only the fold (see :class:`ServingTrace`).
+RECORD_MODES = ("full", "streaming")
 
 #: Terminal states a request can reach.  Every arrival terminates as
 #: exactly one record in exactly one of these states; only ``completed``
@@ -188,54 +194,214 @@ class RequestRecord:
         return self.completion_time - self.arrival_time
 
 
-@dataclass
 class ServingTrace:
-    """End-to-end record of one simulated serving run."""
+    """End-to-end record of one simulated serving run, in either record mode.
 
-    system: str
-    model: str
-    records: list[RequestRecord] = field(default_factory=list)
-    metadata: dict = field(default_factory=dict)
+    Every terminated request passes through :meth:`observe`, which folds
+    it into exact aggregates (counts, token totals, makespan, delay and
+    TTFT sums, prefix/preemption/chunk counters, goodput for the SLOs fixed
+    at construction, per SLO class too) and into one
+    :class:`~repro.serving.sketches.LogBucketSketch` per latency metric.
+    Both record modes share that fold, so every exact figure is identical
+    between them by construction.
 
-    def add_record(self, record: RequestRecord) -> None:
-        self.records.append(record)
+    ``record_mode="full"`` also retains the records, which answer exact
+    percentiles, goodput for any other SLOs, and :attr:`preemption_waits`;
+    ``"streaming"`` keeps none (``records`` is ``None``), so memory does
+    not grow with trace length and percentiles come from the sketches.
 
+    ``failed``/``shed`` records (fault injection only) count toward the
+    makespan and the resilience counters but toward no latency or token
+    metric: they never generated tokens.  A cluster trace is
+    :meth:`merge` of its replicas' traces.
+    """
+
+    def __init__(self, system: str, model: str, metadata: dict | None = None,
+                 record_mode: str = "full",
+                 ttft_slo_s: float | None = None,
+                 tpot_slo_s: float | None = None,
+                 class_slos: dict | None = None) -> None:
+        if record_mode not in RECORD_MODES:
+            raise ConfigurationError(
+                f"unknown record_mode {record_mode!r}; known: "
+                f"{list(RECORD_MODES)}"
+            )
+        validate_slo("ttft_slo_s", ttft_slo_s)
+        validate_slo("tpot_slo_s", tpot_slo_s)
+        self.system = system
+        self.model = model
+        self.metadata = dict(metadata or {})
+        self.record_mode = record_mode
+        self.slos = (ttft_slo_s, tpot_slo_s)
+        self.class_slos = normalize_class_slos(class_slos)
+        self.records: list[RequestRecord] | None = \
+            [] if record_mode == "full" else None
+        #: The replicas' traces when this trace is a :meth:`merge`.
+        self.replica_traces: list[ServingTrace] | None = None
+        #: Every terminated request, whatever its status.
+        self.num_requests = 0
+        #: Requests that exhausted their retry budget under failures.
+        self.num_failed = 0
+        #: Requests dropped by degraded-mode load shedding.
+        self.num_shed = 0
+        #: Total re-dispatches across all terminated requests.
+        self.num_retries = 0
+        #: Makespan: serve start (t=0) to the last request's termination.
+        self.duration = 0.0
+        self.generated_tokens = 0
+        #: Total preemptions suffered across all completed requests.
+        self.num_preemptions = 0
+        self._completed = 0
+        self._queueing = 0.0
+        self._good_tokens = 0
+        self._prefix_bearing = 0
+        self._prefix_hits = 0
+        self._prefill_chunks = 0
+        #: ``{slo_class: [requests, tokens, ttft sum, delay sum, good tokens]}``
+        self._classes: dict[str, list] = {}
+        self._ttft = LogBucketSketch()
+        self._tpot = LogBucketSketch()
+        self._latency = LogBucketSketch()
+        self._preemption_waits = LogBucketSketch()
+
+    # ------------------------------------------------------------------ #
+    # record sink
+    # ------------------------------------------------------------------ #
     def observe(self, record: RequestRecord) -> None:
-        """Record-sink entry point shared with
-        :class:`~repro.serving.sketches.StreamingTrace` — the serving
-        engine writes completions through ``observe`` so either record
-        mode can sit behind it."""
-        self.records.append(record)
+        """Fold one terminated request into the trace."""
+        self.num_requests += 1
+        self.num_retries += record.retries
+        if record.completion_time > self.duration:
+            self.duration = record.completion_time
+        if self.records is not None:
+            self.records.append(record)
+        if record.status != "completed":
+            if record.status == "failed":
+                self.num_failed += 1
+            else:
+                self.num_shed += 1
+            return
+        ttft, tpot, delay = record.ttft, record.tpot, record.queueing_delay
+        tokens = record.output_len
+        self._completed += 1
+        self.generated_tokens += tokens
+        self._queueing += delay
+        if _meets(ttft, tpot, self.slos):
+            self._good_tokens += tokens
+        self._ttft.add(ttft)
+        self._tpot.add(tpot)
+        self._latency.add(record.e2e_latency)
+        entry = self._classes.get(record.slo_class)
+        if entry is None:
+            entry = self._classes[record.slo_class] = [0, 0, 0.0, 0.0, 0]
+        entry[0] += 1
+        entry[1] += tokens
+        entry[2] += ttft
+        entry[3] += delay
+        if _meets(ttft, tpot,
+                  self.class_slos.get(record.slo_class, _UNCONSTRAINED)):
+            entry[4] += tokens
+        if record.prefix_len > 0:
+            self._prefix_bearing += 1
+            self._prefix_hits += record.prefix_hit
+        self.num_preemptions += record.preemptions
+        self._prefill_chunks += record.prefill_chunks
+        if record.preempting:
+            self._preemption_waits.add(delay)
+
+    def empty(self) -> "ServingTrace":
+        """A trace with this one's identity, record mode and SLOs, and no
+        requests or metadata."""
+        return ServingTrace(self.system, self.model, None, self.record_mode,
+                            *self.slos, self.class_slos)
+
+    def absorb(self, other: "ServingTrace") -> None:
+        """Fold every request of ``other`` into this trace.
+
+        The fault layer hands its failed and shed records over this way.
+        Retained records end up ordered by ``(completion_time,
+        request_id)``.
+        """
+        self._fold(other)
+        if self.records is not None:
+            self.records += other.records
+            self.records.sort(key=_completion_then_id)
+
+    @staticmethod
+    def merge(traces: list["ServingTrace"],
+              metadata: dict | None = None) -> "ServingTrace":
+        """One trace of a replica group, over its replicas' traces.
+
+        The replicas share one system, model, record mode and SLOs.
+        Retained records are ordered by completion time with a *stable*
+        sort, so a one-replica merge keeps the engine's record order.  The
+        replica traces stay intact in :attr:`replica_traces` and are
+        summarised in ``metadata["replicas"]``.
+        """
+        merged = traces[0].empty()
+        merged.metadata = dict(metadata or {})
+        for trace in traces:
+            merged._fold(trace)
+        if merged.records is not None:
+            merged.records = sorted(
+                (record for trace in traces for record in trace.records),
+                key=_completion)
+        merged.replica_traces = traces
+        merged.metadata["replicas"] = [
+            {"replica": index, "num_requests": replica.num_requests,
+             "generated_tokens": replica.generated_tokens,
+             "duration_s": replica.duration,
+             "mean_queueing_delay_s": replica.mean_queueing_delay,
+             "kv_budget_tokens": replica.metadata.get("kv_budget_tokens", 0),
+             "peak_reserved_tokens": replica.metadata.get(
+                 "peak_reserved_tokens", 0),
+             "comm_time_share": replica.metadata.get("comm_time_share", 0.0)}
+            for index, replica in enumerate(traces)
+        ]
+        merged.metadata.setdefault(
+            "kv_budget_tokens",
+            sum(replica.metadata.get("kv_budget_tokens", 0)
+                for replica in traces))
+        return merged
+
+    def _fold(self, other: "ServingTrace") -> None:
+        """Add ``other``'s aggregates and sketches (not its records)."""
+        self.num_requests += other.num_requests
+        self.num_failed += other.num_failed
+        self.num_shed += other.num_shed
+        self.num_retries += other.num_retries
+        self.duration = max(self.duration, other.duration)
+        self.generated_tokens += other.generated_tokens
+        self.num_preemptions += other.num_preemptions
+        self._completed += other._completed
+        self._queueing += other._queueing
+        self._good_tokens += other._good_tokens
+        self._prefix_bearing += other._prefix_bearing
+        self._prefix_hits += other._prefix_hits
+        self._prefill_chunks += other._prefill_chunks
+        for name, values in other._classes.items():
+            entry = self._classes.setdefault(name, [0, 0, 0.0, 0.0, 0])
+            for index, value in enumerate(values):
+                entry[index] += value
+        self._ttft.merge(other._ttft)
+        self._tpot.merge(other._tpot)
+        self._latency.merge(other._latency)
+        self._preemption_waits.merge(other._preemption_waits)
+
+    def _completed_records(self, what: str) -> list[RequestRecord]:
+        if self.records is None:
+            raise ConfigurationError(
+                f"{what} needs the retained records (record_mode='full')"
+            )
+        return [r for r in self.records if r.status == "completed"]
 
     # ------------------------------------------------------------------ #
     # aggregate metrics
     # ------------------------------------------------------------------ #
     @property
-    def num_requests(self) -> int:
-        """Every terminated request, whatever its status."""
-        return len(self.records)
-
-    @property
     def completed_records(self) -> list[RequestRecord]:
-        """Records that actually generated tokens.
-
-        Latency/token metrics are computed over these; ``failed``/``shed``
-        records (fault injection only) would otherwise credit tokens that
-        were never produced.  Fault-free traces are all-completed, so every
-        metric below is unchanged by the filter.
-        """
-        return [r for r in self.records if r.status == "completed"]
-
-    @property
-    def duration(self) -> float:
-        """Makespan: serve start (t=0) to the last request's termination."""
-        if not self.records:
-            return 0.0
-        return max(record.completion_time for record in self.records)
-
-    @property
-    def generated_tokens(self) -> int:
-        return sum(record.output_len for record in self.completed_records)
+        """Retained records that actually generated tokens."""
+        return self._completed_records("completed_records")
 
     @property
     def throughput(self) -> float:
@@ -244,55 +410,50 @@ class ServingTrace:
             return 0.0
         return self.generated_tokens / self.duration
 
-    def ttft_percentiles(self, qs=(50, 90, 99)) -> dict[float, float]:
-        records = self.completed_records
-        if not records:
+    def _percentiles(self, sketch: LogBucketSketch, metric: str, qs,
+                     preempting: bool = False) -> dict[float, float]:
+        """Exact over retained records, else the sketch's estimates."""
+        if sketch.count == 0:
             return {}
-        return percentiles((r.ttft for r in records), qs)
+        if self.records is None:
+            return {float(q): sketch.quantile(q) for q in qs}
+        return percentiles((getattr(r, metric) for r in self.completed_records
+                            if r.preempting or not preempting), qs)
+
+    def ttft_percentiles(self, qs=(50, 90, 99)) -> dict[float, float]:
+        return self._percentiles(self._ttft, "ttft", qs)
 
     def tpot_percentiles(self, qs=(50, 90, 99)) -> dict[float, float]:
-        records = self.completed_records
-        if not records:
-            return {}
-        return percentiles((r.tpot for r in records), qs)
+        return self._percentiles(self._tpot, "tpot", qs)
 
     def latency_percentiles(self, qs=(50, 90, 99)) -> dict[float, float]:
-        records = self.completed_records
-        if not records:
-            return {}
-        return percentiles((r.e2e_latency for r in records), qs)
+        return self._percentiles(self._latency, "e2e_latency", qs)
 
     def goodput(self, ttft_slo_s: float | None = None,
                 tpot_slo_s: float | None = None) -> float:
-        """SLO-conditioned token goodput (tokens per second)."""
-        return serving_goodput(self.completed_records, self.duration,
-                               ttft_slo_s=ttft_slo_s, tpot_slo_s=tpot_slo_s)
+        """SLO-conditioned token goodput (tokens per second).
+
+        Unconstrained goodput and goodput for the SLOs fixed at
+        construction come from the fold; any other SLOs need the retained
+        records.
+        """
+        slos = (ttft_slo_s, tpot_slo_s)
+        if slos not in (_UNCONSTRAINED, self.slos):
+            return serving_goodput(
+                self._completed_records(f"goodput for SLOs {slos!r} other "
+                                        f"than {self.slos!r}"),
+                self.duration, *slos)
+        if self.duration <= 0:
+            return 0.0
+        good = (self.generated_tokens if slos == _UNCONSTRAINED
+                else self._good_tokens)
+        return good / self.duration
 
     @property
     def mean_queueing_delay(self) -> float:
-        records = self.completed_records
-        if not records:
+        if not self._completed:
             return 0.0
-        return (sum(r.queueing_delay for r in records)
-                / len(records))
-
-    # ------------------------------------------------------------------ #
-    # resilience accounting (fault injection; all zero without faults)
-    # ------------------------------------------------------------------ #
-    @property
-    def num_failed(self) -> int:
-        """Requests that exhausted their retry budget under failures."""
-        return sum(1 for r in self.records if r.status == "failed")
-
-    @property
-    def num_shed(self) -> int:
-        """Requests dropped by degraded-mode load shedding."""
-        return sum(1 for r in self.records if r.status == "shed")
-
-    @property
-    def num_retries(self) -> int:
-        """Total re-dispatches across all terminated requests."""
-        return sum(r.retries for r in self.records)
+        return self._queueing / self._completed
 
     # ------------------------------------------------------------------ #
     # session / SLO-class columns
@@ -304,17 +465,9 @@ class ServingTrace:
         Only requests that declared a shared prefix (``prefix_len > 0``)
         count; a trace with no session turns reports 0.0.
         """
-        bearing = hits = 0
-        for record in self.completed_records:
-            if record.prefix_len > 0:
-                bearing += 1
-                hits += record.prefix_hit
-        return hits / bearing if bearing else 0.0
-
-    @property
-    def num_preemptions(self) -> int:
-        """Total preemptions suffered across all completed requests."""
-        return sum(record.preemptions for record in self.completed_records)
+        if not self._prefix_bearing:
+            return 0.0
+        return self._prefix_hits / self._prefix_bearing
 
     @property
     def preemption_waits(self) -> list[float]:
@@ -333,58 +486,82 @@ class ServingTrace:
         preemptor waits longer than one chunk's priced duration plus a
         decode step.
         """
-        waits = self.preemption_waits
-        if not waits:
-            return 0.0
-        return percentiles(waits, (99,))[99.0]
+        return self._percentiles(self._preemption_waits, "queueing_delay",
+                                 (99,), preempting=True).get(99.0, 0.0)
 
     @property
     def prefill_chunks_per_request(self) -> float:
         """Mean prefill chunks per request (0.0 when chunking is off)."""
-        records = self.completed_records
-        if not records:
+        if not self._completed:
             return 0.0
-        return (sum(record.prefill_chunks for record in records)
-                / len(records))
+        return self._prefill_chunks / self._completed
 
     def per_class_summary(self, class_slos: dict | None = None) -> dict:
         """Per-SLO-class breakdown: ``{slo_class: {metric: value}}``.
 
-        One entry per class present in the records.  ``class_slos`` maps
+        One entry per class with completed requests.  ``class_slos`` maps
         class names to their goodput SLOs (any shape
         :func:`normalize_class_slos` accepts); classes without an entry
         report unconstrained goodput (equal to their token throughput).
         Goodput divides by the whole trace's duration, so class columns sum
-        to the trace totals.
+        to the trace totals.  SLOs other than the construction ones need
+        the retained records.
         """
-        slos = normalize_class_slos(class_slos)
+        requested = normalize_class_slos(class_slos)
         grouped: dict[str, list[RequestRecord]] = {}
-        for record in self.completed_records:
-            grouped.setdefault(record.slo_class, []).append(record)
+        if requested and requested != self.class_slos:
+            for record in self._completed_records(
+                    f"per-class goodput for class SLOs {requested!r} other "
+                    f"than {self.class_slos!r}"):
+                grouped.setdefault(record.slo_class, []).append(record)
         duration = self.duration
         out = {}
-        for name in sorted(grouped):
-            records = grouped[name]
-            ttft_slo_s, tpot_slo_s = slos.get(name, (None, None))
+        for name in sorted(self._classes):
+            count, tokens, ttft_sum, queueing_sum, good = self._classes[name]
+            if name in grouped:
+                goodput = serving_goodput(
+                    grouped[name], duration,
+                    *requested.get(name, _UNCONSTRAINED))
+            else:
+                goodput = ((good if requested else tokens) / duration
+                           if duration > 0 else 0.0)
             out[name] = {
-                "num_requests": len(records),
-                "generated_tokens": sum(r.output_len for r in records),
-                "goodput_tokens_per_s": serving_goodput(
-                    records, duration, ttft_slo_s=ttft_slo_s,
-                    tpot_slo_s=tpot_slo_s),
-                "mean_ttft_s": sum(r.ttft for r in records) / len(records),
-                "mean_queueing_delay_s": (sum(r.queueing_delay
-                                              for r in records)
-                                          / len(records)),
+                "num_requests": count,
+                "generated_tokens": tokens,
+                "goodput_tokens_per_s": goodput,
+                "mean_ttft_s": ttft_sum / count,
+                "mean_queueing_delay_s": queueing_sum / count,
             }
         return out
 
+    # ------------------------------------------------------------------ #
+    # cluster columns (merged traces only)
+    # ------------------------------------------------------------------ #
+    @property
+    def num_replicas(self) -> int:
+        return len(self.replica_traces or ())
+
+    @property
+    def tokens_imbalance(self) -> float:
+        """Max/mean ratio of generated tokens across replicas (1.0 = even).
+
+        Round-robin on heavy-tailed lengths drifts well above 1; load-aware
+        policies keep it near 1.  Empty replicas count toward the mean, so
+        a policy that starves a replica is penalized, not hidden.
+        """
+        tokens = [trace.generated_tokens
+                  for trace in self.replica_traces or ()]
+        if not tokens or sum(tokens) == 0:
+            return 1.0
+        return max(tokens) / (sum(tokens) / len(tokens))
+
     def summary(self) -> dict:
-        """Flat summary dictionary used by experiment reports."""
+        """Flat summary dictionary used by experiment reports; a merged
+        trace adds ``num_replicas`` and ``tokens_imbalance``."""
         ttft = self.ttft_percentiles()
         tpot = self.tpot_percentiles()
         latency = self.latency_percentiles()
-        return {
+        data = {
             "system": self.system,
             "model": self.model,
             "num_requests": self.num_requests,
@@ -407,3 +584,19 @@ class ServingTrace:
             "num_shed": self.num_shed,
             "num_retries": self.num_retries,
         }
+        if self.replica_traces is not None:
+            data["num_replicas"] = self.num_replicas
+            data["tokens_imbalance"] = self.tokens_imbalance
+        return data
+
+
+_UNCONSTRAINED = (None, None)
+_completion = attrgetter("completion_time")
+_completion_then_id = attrgetter("completion_time", "request_id")
+
+
+def _meets(ttft: float, tpot: float, slos: tuple) -> bool:
+    """Whether a request met ``slos = (ttft_slo_s, tpot_slo_s)``."""
+    ttft_slo_s, tpot_slo_s = slos
+    return ((ttft_slo_s is None or ttft <= ttft_slo_s)
+            and (tpot_slo_s is None or tpot <= tpot_slo_s))

@@ -141,7 +141,7 @@ def test_bookkeeping_matches_list_scan(build, scenario, monkeypatch):
     counter = install_checks(monkeypatch)
     trace = build(**engine_kwargs).serve(make_requests(), **serve_kwargs)
     assert counter["checks"] > 0
-    replicas = getattr(trace, "replica_traces", [trace])
+    replicas = trace.replica_traces or [trace]
     assert any(exercised(replica.metadata) for replica in replicas)
     # Checking syncs wrappers and prunes heaps; neither may move the serve.
     assert trace.records == reference.records

@@ -139,7 +139,7 @@ class TestServingMetrics:
     def test_trace_percentiles_match_numpy(self):
         trace = ServingTrace(system="s", model="m")
         for i, ttft in enumerate((0.1, 0.4, 0.2, 0.9, 0.3)):
-            trace.add_record(self._record(i, ttft=ttft, tpot=0.01))
+            trace.observe(self._record(i, ttft=ttft, tpot=0.01))
         ttfts = [r.ttft for r in trace.records]
         assert trace.ttft_percentiles()[99.0] == np.percentile(ttfts, 99)
         assert trace.ttft_percentiles()[50.0] == np.percentile(ttfts, 50)
