@@ -53,9 +53,6 @@ class FaultCoordinator:
         self.schedule = schedule
         self.retry = retry if retry is not None else RetryPolicy()
         self.shedder = shedder
-        #: Terminal ``failed``/``shed`` records when bound without a
-        #: ``terminal`` trace (the serve layers always bind one).
-        self.records: list[RequestRecord] = []
         self.num_failures = 0
         self.num_retries = 0
         self.num_shed = 0
@@ -77,16 +74,15 @@ class FaultCoordinator:
     # ------------------------------------------------------------------ #
     # wiring
     # ------------------------------------------------------------------ #
-    def bind(self, runs, route, router=None, observers=(),
-             terminal=None) -> None:
+    def bind(self, runs, route, terminal, router=None,
+             observers=()) -> None:
         """Attach the serve's runs, routing, and sinks before driving.
 
         ``route(request) -> index`` must only ever return an up replica
         (the health-aware router guarantees this; the coordinator parks
-        arrivals itself while *no* replica is up).  ``terminal``, when
-        given, is the :class:`~repro.serving.trace.ServingTrace` that
-        observes terminal ``failed``/``shed`` records as they happen;
-        otherwise they collect in :attr:`records`.
+        arrivals itself while *no* replica is up).  ``terminal`` is the
+        :class:`~repro.serving.trace.ServingTrace` that observes terminal
+        ``failed``/``shed`` records as they happen.
         """
         if self.schedule.max_replica() >= len(runs):
             raise ConfigurationError(
@@ -213,10 +209,7 @@ class FaultCoordinator:
             status=status,
             retries=self._attempts.get(request.request_id, 0),
         )
-        if self._terminal is not None:
-            self._terminal.observe(record)
-        else:
-            self.records.append(record)
+        self._terminal.observe(record)
 
     # ------------------------------------------------------------------ #
     # resilience accounting

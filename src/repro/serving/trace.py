@@ -539,7 +539,8 @@ class ServingTrace:
     # ------------------------------------------------------------------ #
     @property
     def num_replicas(self) -> int:
-        return len(self.replica_traces or ())
+        """Replicas behind this trace: one unless it is a :meth:`merge`."""
+        return 1 if self.replica_traces is None else len(self.replica_traces)
 
     @property
     def tokens_imbalance(self) -> float:
@@ -547,10 +548,13 @@ class ServingTrace:
 
         Round-robin on heavy-tailed lengths drifts well above 1; load-aware
         policies keep it near 1.  Empty replicas count toward the mean, so
-        a policy that starves a replica is penalized, not hidden.
+        a policy that starves a replica is penalized, not hidden.  Only a
+        merged trace has this column (``hasattr`` tells one apart).
         """
-        tokens = [trace.generated_tokens
-                  for trace in self.replica_traces or ()]
+        if self.replica_traces is None:
+            raise AttributeError(
+                "tokens_imbalance is defined only on a merged trace")
+        tokens = [trace.generated_tokens for trace in self.replica_traces]
         if not tokens or sum(tokens) == 0:
             return 1.0
         return max(tokens) / (sum(tokens) / len(tokens))

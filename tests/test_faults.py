@@ -351,7 +351,7 @@ class TestFaultDriverContracts:
         def route(request):
             return target
         coordinator = FaultCoordinator(crash_at())
-        coordinator.bind(runs, route)
+        coordinator.bind(runs, route, shared.make_trace("full"))
         with pytest.raises(ConfigurationError, match="run index"):
             drive(requests(), runs, route, faults=coordinator)
 

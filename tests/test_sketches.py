@@ -233,6 +233,9 @@ class TestStreamingMode:
         summary = merged.summary()
         assert summary["num_replicas"] == 3
         assert "num_replicas" not in whole.summary()
+        # An unmerged trace is one replica and has no imbalance column.
+        assert whole.num_replicas == 1
+        assert not hasattr(whole, "tokens_imbalance")
         for key, value in whole.summary().items():
             assert summary[key] == pytest.approx(value, rel=1e-12), key
         assert merged.ttft_percentiles(qs=(75,)) == \
