@@ -104,9 +104,9 @@ class AlisaSystem(InferenceSimulator):
         self._scheduler: DynamicScheduler | None = None
         self._solution: ScheduleSolution | None = None
         self._static_cpu_fraction = 0.0
-        # Profile caches shared across re-solves, keyed by batch size (the
-        # only workload dimension the per-sequence-length costs depend on).
-        self._profile_caches: dict[int, tuple[dict, dict]] = {}
+        # Recompute-time memos shared across re-solves, keyed by batch size
+        # (per-step compute is read from the simulator's step table).
+        self._recompute_caches: dict[int, dict] = {}
         # Namespaces cache keys so one ScheduleCache can back many systems.
         # The shard shape (parallelism mode/degree/microbatching) and the
         # bandwidth/latency numbers that price a schedule are part of the
@@ -160,11 +160,11 @@ class AlisaSystem(InferenceSimulator):
     # incremental schedule re-solve (see repro.core.schedule_cache)
     # ------------------------------------------------------------------ #
     def _make_optimizer(self, workload: Workload) -> SchedulerOptimizer:
-        caches = self._profile_caches.setdefault(workload.batch_size,
-                                                 ({}, {}))
-        optimizer = SchedulerOptimizer(self.cost_model, workload, self.swa,
-                                       kv_dtype=self.kv_dtype,
-                                       profile_caches=caches)
+        optimizer = SchedulerOptimizer(
+            self.cost_model, workload, self.swa, kv_dtype=self.kv_dtype,
+            step_table=self.step_table,
+            recompute_cache=self._recompute_caches.setdefault(
+                workload.batch_size, {}))
         if not self.enable_recomputation:
             optimizer.beta_grid = (0.0,)
         return optimizer
@@ -325,14 +325,14 @@ class AlisaSystem(InferenceSimulator):
         if self.use_dynamic_scheduling:
             if self._scheduler is None:
                 raise ConfigurationError("prepare() must run before planning")
-            epoch = self._scheduler.plan_epoch(num_steps)
+            epoch = self._scheduler.plan_epoch(
+                num_steps, self.step_table.split(self._scheduler.prompt_len,
+                                                 num_steps))
             moved = epoch.load_tokens + epoch.offload_tokens
             return EpochPlan(
                 phases=epoch.phases,
                 kv_gpu_tokens=epoch.tokens_gpu,
                 kv_cpu_tokens=epoch.tokens_cpu,
-                kept_kv=epoch.kept_tokens,
-                local_windows=epoch.kept_local,
                 load_kv_tokens=epoch.load_tokens,
                 offload_kv_tokens=epoch.offload_tokens,
                 recompute_tokens=epoch.recompute_tokens,
@@ -342,7 +342,8 @@ class AlisaSystem(InferenceSimulator):
         # Static ablation: fixed split, sparse attention, no recomputation
         # (the closed form of plan_decode_step, elementwise over steps).
         seq = workload.input_len + np.arange(num_steps) + 1
-        num_local, num_global = self.swa.split_budget_batch(seq)
+        num_local, num_global = self.step_table.split(workload.input_len,
+                                                      num_steps)
         fraction = self._static_cpu_fraction
         cpu_tokens = fraction * seq
         newly_offloaded = cpu_tokens - fraction * (seq - 1)
@@ -355,12 +356,15 @@ class AlisaSystem(InferenceSimulator):
             phases=tuple(phases.tolist()),
             kv_gpu_tokens=seq - cpu_tokens,
             kv_cpu_tokens=cpu_tokens,
-            kept_kv=num_local + num_global,
-            local_windows=num_local,
             load_kv_tokens=load_tokens,
             offload_kv_tokens=newly_offloaded,
             quantize_tokens=moved if self.use_compression else None,
         )
+
+    def decode_attention_split(self, seq_lens: np.ndarray
+                               ) -> tuple[np.ndarray, np.ndarray]:
+        """SWA keeps ``split_budget`` local/global tokens at every step."""
+        return self.swa.split_budget_batch(seq_lens)
 
     def pricing_is_shape_pure(self) -> bool:
         """Dynamic-scheduling epochs are shape-pure only under ``exact``.

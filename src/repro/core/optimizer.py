@@ -13,7 +13,8 @@ This module reproduces that flow:
 * :func:`gpu_kv_budget_tokens` solves the capacity constraint, yielding
   ``p1`` (the step at which KV tensors stop fitting in GPU memory);
 * :class:`ProfileTable` plays the role of the paper's offline profiling,
-  caching compute/recompute times from the analytic cost model;
+  reading per-step compute from the simulator's
+  :class:`~repro.systems.simulator.StepTable` and caching recompute times;
 * :class:`SchedulerOptimizer` performs the grid/greedy search over
   ``alpha``, ``beta``, and ``p2`` and returns the best
   :class:`~repro.core.scheduler.SchedulerConfig`.
@@ -39,6 +40,7 @@ from repro._common import ConfigurationError, dtype_bytes, validate_fraction
 from repro.core.scheduler import DynamicScheduler, SchedulerConfig, StepPlan
 from repro.core.swa import SWAConfig
 from repro.systems.cost import LLMCostModel
+from repro.systems.simulator import StepTable
 from repro.workloads.descriptors import Workload
 
 
@@ -98,62 +100,48 @@ def phase1_end_step(budget_tokens: int, workload: Workload) -> int:
     does for the data-transfer sub-problem.
     """
     first_overflow = budget_tokens - workload.input_len
-    return int(np.clip(first_overflow, 0, workload.output_len))
+    return min(max(first_overflow, 0), workload.output_len)
 
 
 class ProfileTable:
-    """Cached compute/recompute/transfer costs (the paper's offline profiling).
+    """Compute/recompute/transfer costs of one workload (the paper's
+    offline profiling).
 
-    The caches may be shared across :class:`ProfileTable` instances of the
-    same batch size and SWA configuration (sequence-length cost entries are
-    shape-independent otherwise), which lets repeated serving re-solves skip
-    re-profiling overlapping sequence ranges.
+    Per-step GPU compute and the SWA split are read from a
+    :class:`~repro.systems.simulator.StepTable` — the owning simulator's,
+    so the schedule search and epoch pricing share one table per batch
+    size, or a private one built from ``swa`` when none is given (its
+    split must be ``swa``'s).  :attr:`step_compute`, :attr:`num_local` and
+    :attr:`num_global` are read-only views of it over this workload's
+    decode steps.  Recompute times are memoized in ``recompute_cache``,
+    which may be shared across tables of the same batch size.
     """
 
     def __init__(self, cost_model: LLMCostModel, workload: Workload,
                  swa: SWAConfig, kv_dtype: str = "fp16",
-                 shared_caches: tuple[dict, dict] | None = None) -> None:
+                 step_table: StepTable | None = None,
+                 recompute_cache: dict | None = None) -> None:
         self.cost_model = cost_model
         self.workload = workload
         self.swa = swa
         self.kv_dtype = kv_dtype
-        if shared_caches is not None:
-            self._compute_cache, self._recompute_cache = shared_caches
-        else:
-            self._compute_cache = {}
-            self._recompute_cache = {}
+        if step_table is None:
+            step_table = StepTable(cost_model, swa.split_budget_batch)
+        self.step_table = step_table
+        self._recompute_cache = ({} if recompute_cache is None
+                                 else recompute_cache)
+        s, n = workload.input_len, workload.output_len
+        #: GPU compute time of decode steps ``0 .. n - 1``.
+        self.step_compute = step_table.compute(workload.batch_size, s, n)
+        #: Kept local/global tokens of decode steps ``0 .. n - 1``.
+        self.num_local, self.num_global = step_table.split(s, n)
 
     def compute_time(self, sequence_length: int) -> float:
         """GPU compute time of one decoding step at the given sequence length."""
-        if sequence_length not in self._compute_cache:
-            num_local, num_global = self.swa.split_budget(sequence_length)
-            self._compute_cache[sequence_length] = self.cost_model.decode_step_time(
-                self.workload.batch_size,
-                kv_len=sequence_length,
-                kept_kv=num_local + num_global,
-                local_window=num_local,
-            )
-        return self._compute_cache[sequence_length]
-
-    def ensure_compute_range(self, seq_lens: np.ndarray) -> None:
-        """Bulk-fill the compute cache for ``seq_lens`` in one array pass.
-
-        Prices every uncached sequence length through the cost model's
-        vectorized step formula — bit-identical to :meth:`compute_time`'s
-        scalar path, so callers see the same values either way, just
-        without a Python pricing call per sequence length.
-        """
-        missing = [int(q) for q in np.unique(np.asarray(seq_lens))
-                   if int(q) not in self._compute_cache]
-        if not missing:
-            return
-        seq = np.asarray(missing, dtype=np.int64)
-        num_local, num_global = self.swa.split_budget_batch(seq)
-        times = self.cost_model.decode_step_time_batch(
-            self.workload.batch_size, seq,
-            kept_kv=num_local + num_global, local_windows=num_local)
-        for sequence_length, time in zip(missing, times):
-            self._compute_cache[sequence_length] = float(time)
+        if sequence_length <= 0:
+            raise ConfigurationError("seq_len must be positive")
+        return float(self.step_table.compute(self.workload.batch_size,
+                                             sequence_length - 1, 1)[0])
 
     def recompute_time(self, num_tokens: float) -> float:
         """Time to recompute the KV projections of ``num_tokens`` tokens."""
@@ -191,53 +179,41 @@ class _FastObjective:
     depends only on the sequence length); only the Phase III deletion state
     is carried through a scalar loop over the ``p2..n`` suffix.  Candidate
     costs match :meth:`SchedulerOptimizer.evaluate` up to floating-point
-    summation order (the placement integers are identical).
+    summation order (the placement integers are identical).  The SWA split
+    and per-step compute are the :class:`ProfileTable`'s views, so
+    building one costs a handful of array operations.
     """
 
-    def __init__(self, cost_model: LLMCostModel, workload: Workload,
-                 swa: SWAConfig, profile: ProfileTable, kv_dtype: str,
-                 gpu_budget: int, phase2_step: int) -> None:
+    def __init__(self, profile: ProfileTable, gpu_budget: int,
+                 phase2_step: int) -> None:
+        cost_model, workload = profile.cost_model, profile.workload
         self.n = workload.output_len
         self.budget = gpu_budget
         s = workload.input_len
-        steps = np.arange(self.n)
-        seq = s + steps + 1
+        seq = np.arange(s + 1, s + self.n + 1)
+        num_local = profile.num_local
 
-        # Vectorized SWAConfig.split_budget over every decode step.
-        total = np.floor(seq * swa.caching_ratio + 0.5).astype(np.int64)
-        total = np.minimum(np.maximum(2, total), seq)
-        num_local = np.floor(total * swa.local_fraction + 0.5).astype(np.int64)
-        num_local = np.minimum(np.maximum(1, num_local), seq)
-        num_global = np.maximum(0, np.minimum(total - num_local,
-                                              seq - num_local))
-        bump = (num_global == 0) & (seq > num_local) & (total > num_local)
-        num_global = np.where(bump, 1, num_global)
-
-        self.num_global = num_global.astype(np.float64)
-        # Steps running in Phase II or III (Phase I moves nothing).
-        self.off_phase = (steps >= phase2_step) | (seq > gpu_budget)
+        self.num_global = profile.num_global.astype(np.float64)
+        # Steps running in Phase II or III (Phase I moves nothing): step j
+        # (seq_len s + j + 1) is past p1 or overflows the GPU budget.
+        self.off_phase = seq > min(s + phase2_step, gpu_budget)
         # d == 0 closed forms, valid everywhere before the first deletion.
         self.non_local0 = np.maximum(0, seq - num_local)
         self.min_cpu0 = np.maximum(0, seq - gpu_budget)
         self.non_local_total = np.maximum(1, seq - num_local)
         self.prefill_cpu = max(0, s - gpu_budget)
 
-        # Per-step GPU compute time is candidate-independent: precompute the
-        # whole-run total once (through the shared ProfileTable cache,
-        # bulk-filled array-wise).
-        profile.ensure_compute_range(seq)
-        self.compute_total = float(
-            sum(profile.compute_time(int(q)) for q in seq)
-        )
+        # Per-step GPU compute time is candidate-independent: the whole-run
+        # total, summed in step order over the profile's table slice.
+        self.compute_total = float(sum(profile.step_compute.tolist()))
         per_token = cost_model.kv_bytes_per_token(workload.batch_size,
-                                                  kv_dtype)
+                                                  profile.kv_dtype)
         self._transfer_per_token = \
             per_token / cost_model.effective_pcie_bandwidth
         self._cost_model = cost_model
         self._batch_size = workload.batch_size
-        # Python-list views for the Phase III scalar recurrence.
-        self._seq_list = seq.tolist()
-        self._num_local_list = num_local.tolist()
+        self._seq = seq
+        self._num_local = num_local
 
     def _cpu_deleted(self, alpha: float, beta: float,
                      phase3_step: int) -> tuple[np.ndarray, np.ndarray]:
@@ -248,15 +224,17 @@ class _FastObjective:
         cpu = np.where(self.off_phase, target, 0)
         deleted = np.zeros(self.n, dtype=np.int64)
         if beta > 0.0 and phase3_step < self.n:
-            seq_list, local_list = self._seq_list, self._num_local_list
+            seq_list = self._seq[phase3_step:].tolist()
+            local_list = self._num_local[phase3_step:].tolist()
             budget = self.budget
             d = 0
-            for j in range(phase3_step, self.n):
-                non_local = seq_list[j] - d - local_list[j]
+            for j, seq_j, local_j in zip(range(phase3_step, self.n),
+                                         seq_list, local_list):
+                non_local = seq_j - d - local_j
                 if non_local < 0:
                     non_local = 0
                 tc = int(alpha * non_local + 0.5)
-                min_cpu = seq_list[j] - d - budget
+                min_cpu = seq_j - d - budget
                 if tc < min_cpu:
                     tc = min_cpu
                 if tc > non_local:
@@ -275,7 +253,8 @@ class _FastObjective:
     def cost(self, alpha: float, beta: float, phase3_step: int) -> float:
         """Objective of Equation 5 for one ``(alpha, beta, p2)`` candidate."""
         cpu, deleted = self._cpu_deleted(alpha, beta, phase3_step)
-        offload = np.maximum(0, np.diff(cpu, prepend=self.prefill_cpu))
+        previous = np.concatenate(((self.prefill_cpu,), cpu[:-1]))
+        offload = np.maximum(0, cpu - previous)
         load = self.num_global * (cpu / self.non_local_total)
         moved = float(load.sum() + offload.sum())
         transfer = moved * self._transfer_per_token
@@ -298,7 +277,8 @@ class SchedulerOptimizer:
                  alpha_grid: tuple[float, ...] = (0.3, 0.5, 0.7, 0.9, 1.0),
                  beta_grid: tuple[float, ...] = (0.0, 0.2, 0.4, 0.6),
                  num_p2_candidates: int = 5,
-                 profile_caches: tuple[dict, dict] | None = None) -> None:
+                 step_table: StepTable | None = None,
+                 recompute_cache: dict | None = None) -> None:
         self.cost_model = cost_model
         self.workload = workload
         self.swa = swa
@@ -307,7 +287,8 @@ class SchedulerOptimizer:
         self.beta_grid = beta_grid
         self.num_p2_candidates = num_p2_candidates
         self.profile = ProfileTable(cost_model, workload, swa, kv_dtype,
-                                    shared_caches=profile_caches)
+                                    step_table=step_table,
+                                    recompute_cache=recompute_cache)
 
     # ------------------------------------------------------------------ #
     def estimate_plan_time(self, plans: list[StepPlan]) -> float:
@@ -331,8 +312,6 @@ class SchedulerOptimizer:
         """Run the search and return the best scheduler configuration."""
         gpu_budget = gpu_kv_budget_tokens(self.cost_model, self.workload,
                                           self.kv_dtype, weights_on_gpu)
-        self.profile.ensure_compute_range(
-            self.workload.input_len + np.arange(self.workload.output_len) + 1)
         p1 = phase1_end_step(gpu_budget, self.workload)
         p2_candidates = self._p2_candidates(p1)
 
@@ -370,8 +349,7 @@ class SchedulerOptimizer:
         })
 
     def _make_objective(self, gpu_budget: int, p1: int) -> _FastObjective:
-        return _FastObjective(self.cost_model, self.workload, self.swa,
-                              self.profile, self.kv_dtype, gpu_budget, p1)
+        return _FastObjective(self.profile, gpu_budget, p1)
 
     def fast_evaluate(self, config: SchedulerConfig, gpu_budget: int) -> float:
         """Vectorized counterpart of :meth:`evaluate` (same placement math)."""

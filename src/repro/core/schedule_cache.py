@@ -12,8 +12,9 @@ request counts.  This module makes the re-solve incremental:
 * :class:`ScheduleCache` — a memo of solved schedules with two key spaces:
   an *exact* map keyed on the precise solved shape
   ``(b, s, n, kv_dtype, budget)`` (always byte-identical to re-solving) and
-  a *canonical* map keyed on a bucketed shape so nearby workloads share one
-  representative solution;
+  a *canonical* map keyed on the bucket sizes and a bucketed shape so
+  nearby workloads share one representative solution, indexed per context
+  so :meth:`ScheduleCache.nearest` scores every entry in one array pass;
 * :class:`CachedSchedule` — a shape-independent encoding of a solution
   (``alpha``, ``beta``, and ``p2`` as a fraction of the post-``p1`` horizon)
   that can be re-derived for any concrete workload shape.
@@ -26,7 +27,11 @@ simulators and serving engines concurrently: every key is prefixed with a
 SWA parameters, ablation flags, and — on multi-GPU nodes — the parallelism
 mode, degree, and microbatch count, i.e. the shard shape), so entries from
 different systems, nodes, or shard shapes can never be served to each
-other.  Lookups mutate only the hit counters in :attr:`ScheduleCache.stats`;
+other.  Canonical keys also carry the policy's bucket sizes, so systems
+with different buckets sharing one cache never serve each other's
+canonical entries (warm-start seeding by :meth:`ScheduleCache.nearest`
+may still cross buckets: a seed is only a starting point).  Lookups
+mutate only the hit counters in :attr:`ScheduleCache.stats`;
 ``store_*`` never evicts (shapes are few and solutions small).  An exact
 hit is byte-identical to re-solving the same shape; canonical and
 warm-started paths are within the documented tolerance below.
@@ -54,6 +59,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
+
+import numpy as np
 
 from repro._common import ConfigurationError, validate_fraction, validate_positive
 from repro.core.scheduler import SchedulerConfig
@@ -197,17 +204,45 @@ class ScheduleCacheStats:
         }
 
 
+class _ContextIndex:
+    """Canonical entries of one context, in insertion order, with their
+    solved ``(b, s, n)`` shapes as the rows of a growable float array."""
+
+    def __init__(self) -> None:
+        self.entries: list[CachedSchedule] = []
+        self.shapes = np.empty((3, 8))
+
+    def append(self, entry: CachedSchedule) -> int:
+        position = len(self.entries)
+        if position == self.shapes.shape[1]:
+            self.shapes = np.concatenate((self.shapes,
+                                          np.empty_like(self.shapes)), axis=1)
+        self.entries.append(entry)
+        self.set(position, entry)
+        return position
+
+    def set(self, position: int, entry: CachedSchedule) -> None:
+        self.entries[position] = entry
+        self.shapes[:, position] = (entry.batch_size, entry.input_len,
+                                    entry.output_len)
+
+
 class ScheduleCache:
     """Memo of solved schedules, shareable across simulators and engines.
 
     Keys are namespaced by a *context* tuple (model, hardware, KV dtype,
     SWA parameters, ablation flags — built by the owning simulator), so one
-    cache instance can safely back several systems at once.
+    cache instance can safely back several systems at once.  Canonical
+    entries are also indexed by context, in insertion order, next to an
+    array of their solved shapes, which :meth:`nearest` scores in one
+    vectorized pass.
     """
 
     def __init__(self) -> None:
         self._exact: dict[tuple, object] = {}
         self._canonical: dict[tuple, CachedSchedule] = {}
+        self._index: dict[tuple, _ContextIndex] = {}
+        self._positions: dict[tuple, int] = {}
         self.stats = ScheduleCacheStats()
 
     def __len__(self) -> int:
@@ -216,6 +251,8 @@ class ScheduleCache:
     def clear(self) -> None:
         self._exact.clear()
         self._canonical.clear()
+        self._index.clear()
+        self._positions.clear()
         self.stats = ScheduleCacheStats()
 
     # ------------------------------------------------------------------ #
@@ -243,7 +280,11 @@ class ScheduleCache:
     @staticmethod
     def canonical_key(context: tuple, policy: SchedulePolicy,
                       workload: Workload) -> tuple:
-        return context + policy.canonical_shape(workload)
+        """``(context, input_bucket, output_bucket, b, s, n)``: the bucket
+        sizes are part of the key, so a canonical entry is only served to
+        systems that bucket shapes the same way."""
+        return (context, policy.input_bucket,
+                policy.output_bucket) + policy.canonical_shape(workload)
 
     def lookup_canonical(self, key: tuple) -> CachedSchedule | None:
         entry = self._canonical.get(key)
@@ -252,21 +293,39 @@ class ScheduleCache:
         return entry
 
     def store_canonical(self, key: tuple, entry: CachedSchedule) -> None:
+        """Store ``entry`` under a :meth:`canonical_key` and index it under
+        the key's context (re-storing a key replaces its entry in place)."""
         if not isinstance(entry, CachedSchedule):
             raise ConfigurationError(
                 "canonical entries must be CachedSchedule instances"
             )
+        position = self._positions.get(key)
+        if position is None:
+            index = self._index.setdefault(key[0], _ContextIndex())
+            self._positions[key] = index.append(entry)
+        else:
+            self._index[key[0]].set(position, entry)
         self._canonical[key] = entry
 
     def nearest(self, context: tuple,
                 workload: Workload) -> CachedSchedule | None:
-        """Closest solved canonical entry in the same context, if any."""
-        best: CachedSchedule | None = None
-        best_distance = float("inf")
-        for key, entry in self._canonical.items():
-            if key[:len(context)] != context:
-                continue
-            distance = entry.distance(workload)
-            if distance < best_distance:
-                best, best_distance = entry, distance
-        return best
+        """Closest solved canonical entry in the same context, if any.
+
+        Scores every entry of the context with
+        :meth:`CachedSchedule.distance` in one array pass (the same
+        correctly rounded division and left-to-right sum per entry) and
+        returns the first entry, in insertion order, with the smallest
+        distance — exactly the entry a linear scan keeping only strictly
+        smaller distances returns (pinned against that scan in
+        ``tests/test_schedule_cache.py``).
+        """
+        index = self._index.get(context)
+        if index is None:
+            return None
+        shapes = index.shapes[:, :len(index.entries)]
+        target = np.array([[workload.batch_size], [workload.input_len],
+                           [workload.output_len]], dtype=np.float64)
+        rel = np.abs(shapes - target) / np.maximum(np.maximum(shapes,
+                                                              target), 1.0)
+        distances = rel[0] + rel[1] + rel[2]
+        return index.entries[int(distances.argmin())]

@@ -113,10 +113,6 @@ class EpochSchedule:
     offload_tokens: np.ndarray
     recompute_tokens: np.ndarray
 
-    @property
-    def kept_tokens(self) -> np.ndarray:
-        return self.kept_local + self.kept_global
-
 
 @dataclass
 class SchedulerState:
@@ -285,7 +281,9 @@ class DynamicScheduler:
     # ------------------------------------------------------------------ #
     # vectorized epoch planning (the serving fast path)
     # ------------------------------------------------------------------ #
-    def plan_epoch(self, num_steps: int) -> EpochSchedule:
+    def plan_epoch(self, num_steps: int,
+                   split: tuple[np.ndarray, np.ndarray] | None = None,
+                   ) -> EpochSchedule:
         """Plan steps ``0 .. num_steps - 1`` in one vectorized call.
 
         Non-mutating equivalent of calling :meth:`plan_step` ``num_steps``
@@ -294,7 +292,10 @@ class DynamicScheduler:
         count is an inherently sequential recurrence (each step's deletion
         target depends on the previous step's), so it runs as a tight
         integer loop — still orders of magnitude cheaper than building and
-        validating a :class:`StepPlan` per step.
+        validating a :class:`StepPlan` per step.  ``split`` passes the
+        steps' ``swa.split_budget_batch`` when the caller already has it
+        (e.g. a view of a simulator's
+        :class:`~repro.systems.simulator.StepTable`).
         """
         if not self._prefilled:
             raise ConfigurationError("plan_prefill must run before plan_epoch")
@@ -310,7 +311,8 @@ class DynamicScheduler:
 
         steps = np.arange(num_steps)
         seq = self.prompt_len + steps + 1
-        num_local, num_global = self.swa.split_budget_batch(seq)
+        num_local, num_global = (self.swa.split_budget_batch(seq)
+                                 if split is None else split)
         in_phase3 = steps >= self.config.phase3_step
         in_phase2 = (~in_phase3) & ((steps >= self.config.phase2_step)
                                     | (seq > budget))

@@ -50,9 +50,10 @@ SERVING_SYSTEMS = {
 }
 
 #: Scheduler-cache counters surfaced per result row (zero for systems
-#: without an offline planning stage).
+#: without an offline planning stage).  They count work, not simulated
+#: time: a change that alters them changes what the solver does.
 SOLVER_STAT_COLUMNS = ("exact_hits", "canonical_hits", "warm_solves",
-                       "full_solves")
+                       "full_solves", "candidates_evaluated")
 
 
 def max_sustained_rate(result: ExperimentResult, system: str = "alisa",

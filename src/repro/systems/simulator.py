@@ -13,7 +13,10 @@ A concrete system implements two hooks:
 
 Both return a :class:`SystemStepPlan`; the base class turns plans into
 :class:`~repro.systems.trace.StepTiming` records and an
-:class:`~repro.systems.trace.InferenceTrace`.  The pricing helpers
+:class:`~repro.systems.trace.InferenceTrace`.  Per-step GPU compute depends
+only on ``(batch, seq_len)`` and the system's attention pattern, so each
+simulator prices it once into a :class:`StepTable` that epoch pricing and
+ALISA's offline scheduler both slice.  The pricing helpers
 (:meth:`InferenceSimulator.prefill_timing`,
 :meth:`InferenceSimulator.epoch_timings`) are also driven by the online
 serving engine (:mod:`repro.serving.engine`), which manages request
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -67,16 +71,16 @@ class EpochPlan:
 
     The array-of-structs counterpart of a list of
     :class:`SystemStepPlan` records: one entry per decode step, with the
-    same field semantics.  ``None`` fields mean "all zeros" (for token
-    movement) or "dense attention at every step" (``kept_kv``), so simple
-    systems do not have to materialize zero arrays.
+    same field semantics.  ``None`` fields mean "all zeros", so simple
+    systems do not have to materialize zero arrays (and epoch pricing
+    skips the terms they would feed).  The attention pattern is not a
+    plan field: it is a function of the sequence length alone, declared
+    once by :meth:`InferenceSimulator.decode_attention_split`.
     """
 
     phases: tuple[str, ...]
     kv_gpu_tokens: np.ndarray
     kv_cpu_tokens: np.ndarray
-    kept_kv: np.ndarray | None = None
-    local_windows: np.ndarray | None = None
     load_kv_tokens: np.ndarray | None = None
     offload_kv_tokens: np.ndarray | None = None
     recompute_tokens: np.ndarray | None = None
@@ -90,26 +94,20 @@ class EpochPlan:
         return len(self.phases)
 
     @classmethod
-    def from_step_plans(cls, plans: list[SystemStepPlan],
-                        workload: Workload) -> "EpochPlan":
+    def from_step_plans(cls, plans: list[SystemStepPlan]) -> "EpochPlan":
         """Pack per-step :class:`SystemStepPlan` records into arrays.
 
         This is the generic-fallback packer used for simulators that only
-        implement :meth:`InferenceSimulator.plan_decode_step`.  A per-step
-        ``kept_kv`` of ``None`` (dense attention) is replaced by the step's
-        sequence length, which prices identically (the cost model clamps
-        ``kept_kv`` to the sequence length).
+        implement :meth:`InferenceSimulator.plan_decode_step`.  The steps'
+        ``kept_kv``/``local_window`` are not packed: epoch pricing reads
+        the attention pattern from
+        :meth:`InferenceSimulator.decode_attention_split`, which must
+        agree with them.
         """
-        seq_lens = [workload.input_len + step + 1
-                    for step in range(len(plans))]
         return cls(
             phases=tuple(plan.phase for plan in plans),
             kv_gpu_tokens=np.array([p.kv_gpu_tokens for p in plans]),
             kv_cpu_tokens=np.array([p.kv_cpu_tokens for p in plans]),
-            kept_kv=np.array([
-                seq if plan.kept_kv is None else plan.kept_kv
-                for seq, plan in zip(seq_lens, plans)]),
-            local_windows=np.array([p.local_window for p in plans]),
             load_kv_tokens=np.array([p.load_kv_tokens for p in plans]),
             offload_kv_tokens=np.array([p.offload_kv_tokens for p in plans]),
             recompute_tokens=np.array([p.recompute_tokens for p in plans]),
@@ -159,6 +157,91 @@ class EpochTimings:
         return float(np.sum(self.h2d_bytes) + np.sum(self.d2h_bytes))
 
 
+_EMPTY = np.empty(0)
+
+
+def _grown(size: int, needed: int) -> int:
+    """Next table size covering ``needed``: the smallest power of two
+    >= ``needed``, so a table at least doubles whenever it grows."""
+    return max(size, 1 << (needed - 1).bit_length())
+
+
+def _extended(row: np.ndarray, fresh: np.ndarray) -> np.ndarray:
+    grown = np.concatenate((row, fresh)) if row.size else fresh
+    grown.flags.writeable = False
+    return grown
+
+
+class StepTable:
+    """Per-step decode costs that depend only on ``(batch, seq_len)``.
+
+    Holds, per batch size, a row with the GPU compute time of one decode
+    step at every sequence length ``1 .. len(row)`` (entry ``q - 1``
+    prices ``seq_len == q``), from
+    :meth:`~repro.systems.cost.LLMCostModel.decode_step_time_batch`; and,
+    shared by every batch size, the attention pattern: the
+    ``(num_local, num_global)`` kept tokens the ``split`` hook returns
+    for each sequence length (a hook returning ``None`` means dense
+    attention).  Both grow by doubling on demand and are read-only, so
+    :meth:`compute` and :meth:`split` hand out views.
+
+    Every entry is the same elementwise IEEE formula the cost model
+    applies to any array, so a slice is bit-identical to pricing that
+    range directly, whatever order earlier requests grew the table in.
+    """
+
+    def __init__(self, cost_model: LLMCostModel,
+                 split: Callable[[np.ndarray],
+                                 tuple[np.ndarray, np.ndarray] | None],
+                 ) -> None:
+        self._cost_model = cost_model
+        self._split = split
+        self._local = self._global = _EMPTY
+        self._rows: dict[int, np.ndarray] = {}
+
+    def _split_rows(self, needed: int
+                    ) -> tuple[np.ndarray, np.ndarray] | None:
+        size = self._local.size
+        if size < needed:
+            grown = self._split(np.arange(size + 1,
+                                          _grown(size, needed) + 1))
+            if grown is None:
+                return None
+            self._local = _extended(self._local, grown[0])
+            self._global = _extended(self._global, grown[1])
+        return self._local, self._global
+
+    def split(self, input_len: int, num_steps: int
+              ) -> tuple[np.ndarray, np.ndarray] | None:
+        """``(num_local, num_global)`` of decode steps at sequence lengths
+        ``input_len + 1 .. input_len + num_steps`` (``None`` if dense)."""
+        rows = self._split_rows(input_len + num_steps)
+        if rows is None:
+            return None
+        end = input_len + num_steps
+        return rows[0][input_len:end], rows[1][input_len:end]
+
+    def compute(self, batch_size: int, input_len: int,
+                num_steps: int) -> np.ndarray:
+        """GPU compute time of the decode steps at sequence lengths
+        ``input_len + 1 .. input_len + num_steps`` (a read-only view)."""
+        end = input_len + num_steps
+        row = self._rows.get(batch_size, _EMPTY)
+        if row.size < end:
+            start = row.size
+            size = _grown(start, end)
+            seq = np.arange(start + 1, size + 1)
+            kept = local = None
+            split = self._split_rows(size)
+            if split is not None:
+                local = split[0][start:size]
+                kept = local + split[1][start:size]
+            fresh = self._cost_model.decode_step_time_batch(
+                batch_size, seq, kept, local)
+            row = self._rows[batch_size] = _extended(row, fresh)
+        return row[input_len:end]
+
+
 class InferenceSimulator(ABC):
     """Base class: runs the prefill + decode loop over step plans."""
 
@@ -188,6 +271,8 @@ class InferenceSimulator(ABC):
                                        parallelism=parallelism)
         self.kv_dtype = kv_dtype
         self.weights_on_gpu = weights_on_gpu
+        self.step_table = StepTable(self.cost_model,
+                                    self.decode_attention_split)
 
     # ------------------------------------------------------------------ #
     # hooks for concrete systems
@@ -230,7 +315,19 @@ class InferenceSimulator(ABC):
         """
         plans = [self.plan_decode_step(step, workload)
                  for step in range(workload.output_len)]
-        return EpochPlan.from_step_plans(plans, workload)
+        return EpochPlan.from_step_plans(plans)
+
+    def decode_attention_split(self, seq_lens: np.ndarray
+                               ) -> tuple[np.ndarray, np.ndarray] | None:
+        """Kept ``(num_local, num_global)`` tokens of a decode step at each
+        sequence length, or ``None`` for dense attention (the default).
+
+        The attention pattern of every decode step, as a function of the
+        sequence length alone: the :attr:`step_table` prices compute from
+        it, so it must agree with the ``kept_kv``/``local_window`` of
+        :meth:`plan_decode_step` (ALISA returns its SWA split).
+        """
+        return None
 
     def pricing_is_shape_pure(self) -> bool:
         """Whether a priced epoch is a pure function of the workload shape.
@@ -360,55 +457,65 @@ class InferenceSimulator(ABC):
         """Price all ``output_len`` decode steps of ``workload`` at once.
 
         The vectorized counterpart of calling :meth:`plan_decode_step` +
-        :meth:`step_timing` once per step: every per-step formula is
-        applied array-wise in the same operation order, so the resulting
-        arrays are bit-identical to the step loop's values (pinned by
-        ``tests/test_epoch_pricing.py``).  Pure pricing — no memory is
-        allocated and no traffic is recorded; ``link`` only supplies the
-        PCIe latency/bandwidth (defaults to the node's own link).
+        :meth:`step_timing` once per step: GPU compute is a slice of the
+        :attr:`step_table`, and every other per-step formula is applied
+        array-wise in the same operation order, so the resulting arrays
+        are bit-identical to the step loop's values (pinned by
+        ``tests/test_epoch_pricing.py``).  Plan fields left ``None`` price
+        as zero without calling the cost model.  Pure pricing — no memory
+        is allocated and no traffic is recorded; ``link`` only supplies
+        the PCIe latency/bandwidth (defaults to the node's own link).
         """
         plan = self.plan_decode_epoch(workload)
         num_steps = plan.num_steps
         if link is None:
             link = PCIeLink(self.hardware.node_pcie_bandwidth)
+        batch_size = workload.batch_size
+        cost_model = self.cost_model
+        zeros = np.zeros(num_steps)
+        zeros.flags.writeable = False  # shared by every all-zero field
 
-        def filled(values: np.ndarray | None) -> np.ndarray:
-            return np.zeros(num_steps) if values is None else values
-
-        seq_lens = workload.input_len + np.arange(num_steps) + 1
         per_token = self.kv_token_bytes(workload)
-        load = filled(plan.load_kv_tokens)
-        offload = filled(plan.offload_kv_tokens)
-        h2d_bytes = load * per_token + filled(plan.extra_h2d_bytes)
-        d2h_bytes = offload * per_token
-        if np.any(h2d_bytes < 0) or np.any(d2h_bytes < 0):
+        load = (zeros if plan.load_kv_tokens is None
+                else plan.load_kv_tokens * per_token)
+        offload = (zeros if plan.offload_kv_tokens is None
+                   else plan.offload_kv_tokens * per_token)
+        h2d_bytes = (load if plan.extra_h2d_bytes is None
+                     else load + plan.extra_h2d_bytes)
+        if (h2d_bytes < 0).any() or (offload < 0).any():
             raise ConfigurationError("transfer size must be non-negative")
 
-        compute = self.cost_model.decode_step_time_batch(
-            workload.batch_size, seq_lens, plan.kept_kv, plan.local_windows)
+        compute = self.step_table.compute(batch_size, workload.input_len,
+                                          num_steps)
         transfer = (
             np.where(h2d_bytes > 0,
                      link.latency_s + h2d_bytes / link.bandwidth_bytes_per_s,
                      0.0)
-            + np.where(d2h_bytes > 0,
-                       link.latency_s + d2h_bytes / link.bandwidth_bytes_per_s,
+            + np.where(offload > 0,
+                       link.latency_s + offload / link.bandwidth_bytes_per_s,
                        0.0)
         )
-        recompute = self.cost_model.recompute_time_batch(
-            workload.batch_size, np.rint(filled(plan.recompute_tokens)))
+        recompute = zeros
+        if plan.recompute_tokens is not None:
+            recompute = cost_model.recompute_time_batch(
+                batch_size, np.rint(plan.recompute_tokens))
         if self.overlap_io:
             transfer = np.maximum(0.0, transfer - compute - recompute)
-        transfer = transfer + self.cost_model.cpu_attention_time_batch(
-            workload.batch_size, filled(plan.cpu_attention_tokens),
-            self.kv_dtype)
-        quantized = filled(plan.quantize_tokens)
-        overhead = filled(plan.extra_overhead_s) + np.where(
-            quantized > 0,
-            self.cost_model.quantize_time_batch(workload.batch_size,
-                                                np.rint(quantized)),
-            0.0)
+        if plan.cpu_attention_tokens is not None:
+            transfer = transfer + cost_model.cpu_attention_time_batch(
+                batch_size, plan.cpu_attention_tokens, self.kv_dtype)
+        overhead = (zeros if plan.extra_overhead_s is None
+                    else plan.extra_overhead_s)
+        if plan.quantize_tokens is not None:
+            quantized = plan.quantize_tokens
+            overhead = overhead + np.where(
+                quantized > 0,
+                cost_model.quantize_time_batch(batch_size,
+                                               np.rint(quantized)),
+                0.0)
         return EpochTimings(
-            sequence_lengths=seq_lens,
+            sequence_lengths=np.arange(workload.input_len + 1,
+                                       workload.input_len + num_steps + 1),
             phases=plan.phases,
             compute_times=compute,
             transfer_times=transfer,
@@ -418,10 +525,10 @@ class InferenceSimulator(ABC):
             comm_times=np.full(num_steps, self.parallel_comm_time(workload)),
             gpu_kv_bytes=plan.kv_gpu_tokens * per_token,
             cpu_kv_bytes=plan.kv_cpu_tokens * per_token,
-            bytes_offloaded=offload * per_token,
-            bytes_reloaded=load * per_token,
+            bytes_offloaded=offload,
+            bytes_reloaded=load,
             h2d_bytes=h2d_bytes,
-            d2h_bytes=d2h_bytes,
+            d2h_bytes=offload,
         )
 
     def run(self, workload: Workload) -> InferenceTrace:

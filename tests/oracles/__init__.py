@@ -2,10 +2,13 @@
 
 Nothing under ``src/`` imports this package; tests and benchmarks compare
 the production serving and offline paths against it with exact ``==``,
-and the streaming percentile sketches against the exact order statistic.
+the streaming percentile sketches against the exact order statistic, and
+the schedule cache's indexed nearest-entry lookup against a linear scan.
 """
 
 from .quantiles import within_sketch_bound
+from .schedule import nearest_by_scan
 from .stepped import SteppedEngine, run_stepwise
 
-__all__ = ["SteppedEngine", "run_stepwise", "within_sketch_bound"]
+__all__ = ["SteppedEngine", "nearest_by_scan", "run_stepwise",
+           "within_sketch_bound"]

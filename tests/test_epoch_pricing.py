@@ -28,6 +28,7 @@ from repro.hardware.presets import NVLINK, V100_16GB_NODE, multi_gpu
 from repro.serving import ContinuousBatchingEngine
 from repro.systems.cost import ParallelismSpec
 from repro.systems.memory import MemoryHierarchy
+from repro.systems.simulator import EpochTimings
 from repro.workloads.arrivals import generate_requests
 from repro.workloads.descriptors import Workload
 from tests.oracles import SteppedEngine, run_stepwise
@@ -84,6 +85,41 @@ def stepwise_reference(system, workload):
     return timings, memory.link
 
 
+#: StepTiming field -> EpochTimings array holding it.
+STEP_FIELDS = {"compute_time": "compute_times",
+               "transfer_time": "transfer_times",
+               "recompute_time": "recompute_times",
+               "overhead_time": "overhead_times",
+               "gpu_kv_bytes": "gpu_kv_bytes",
+               "cpu_kv_bytes": "cpu_kv_bytes",
+               "bytes_offloaded": "bytes_offloaded",
+               "bytes_reloaded": "bytes_reloaded",
+               "sequence_length": "sequence_lengths"}
+
+
+def assert_matches_step_loop(epoch, reference, link, label) -> None:
+    """``epoch`` equals the step loop's timings field for field."""
+    assert epoch.num_steps == len(reference), label
+    assert epoch.phases == tuple(t.phase for t in reference), label
+    for field, array in STEP_FIELDS.items():
+        expected = np.array([getattr(t, field) for t in reference])
+        assert np.array_equal(getattr(epoch, array), expected), (label,
+                                                                 field)
+    totals = np.array([t.total_time for t in reference])
+    assert np.array_equal(epoch.total_times, totals), label
+    # The per-step PCIe traffic matches what the loop recorded.
+    assert float(np.sum(epoch.h2d_bytes)) == pytest.approx(
+        link.bytes_host_to_device)
+    assert float(np.sum(epoch.d2h_bytes)) == pytest.approx(
+        link.bytes_device_to_host)
+
+
+def priced_epoch(simulator, workload):
+    simulator.prepare(workload)
+    simulator.plan_prefill(workload)
+    return simulator.epoch_timings(workload)
+
+
 class TestEpochTimingsMatchStepLoop:
     """``epoch_timings`` is element-wise identical to the step loop."""
 
@@ -102,32 +138,44 @@ class TestEpochTimingsMatchStepLoop:
         simulator = build_system(system, shard, kv_dtype=kv_dtype)
         reference, link = stepwise_reference(simulator, workload)
         simulator = build_system(system, shard, kv_dtype=kv_dtype)
-        simulator.prepare(workload)
-        simulator.plan_prefill(workload)
-        epoch = simulator.epoch_timings(workload)
+        epoch = priced_epoch(simulator, workload)
+        assert_matches_step_loop(epoch, reference, link, system)
 
-        assert epoch.num_steps == len(reference)
-        assert epoch.phases == tuple(t.phase for t in reference)
-        for field, values in (
-                ("compute_time", epoch.compute_times),
-                ("transfer_time", epoch.transfer_times),
-                ("recompute_time", epoch.recompute_times),
-                ("overhead_time", epoch.overhead_times),
-                ("gpu_kv_bytes", epoch.gpu_kv_bytes),
-                ("cpu_kv_bytes", epoch.cpu_kv_bytes),
-                ("bytes_offloaded", epoch.bytes_offloaded),
-                ("bytes_reloaded", epoch.bytes_reloaded),
-                ("sequence_length", epoch.sequence_lengths),
-        ):
-            expected = np.array([getattr(t, field) for t in reference])
-            assert np.array_equal(values, expected), (system, field)
-        totals = np.array([t.total_time for t in reference])
-        assert np.array_equal(epoch.total_times, totals)
-        # The per-step PCIe traffic matches what the loop recorded.
-        assert float(np.sum(epoch.h2d_bytes)) == pytest.approx(
-            link.bytes_host_to_device)
-        assert float(np.sum(epoch.d2h_bytes)) == pytest.approx(
-            link.bytes_device_to_host)
+    #: Epoch shapes priced on one simulator, longest first.  Step tables
+    #: grow to powers of two, so in the short-first order every shape from
+    #: (4, 60, 10) on straddles a growth boundary of the shared split
+    #: (64 -> 65, 128 -> 129, 256 -> 257) or of its batch's compute row.
+    GROWN_SHAPES = [(4, 200, 120), (2, 1, 300), (2, 120, 9), (4, 60, 10),
+                    (4, 30, 20), (1, 3, 5)]
+
+    @pytest.mark.parametrize("order", ["long-first", "short-first"])
+    @pytest.mark.parametrize("shard", sorted(SHARD_SHAPES))
+    @pytest.mark.parametrize("system", sorted(SYSTEM_BUILDERS))
+    def test_grown_step_table_prices_like_a_fresh_one(self, system, shard,
+                                                      order):
+        # The property test above builds a new simulator per example, so
+        # its step table never grows.  Here one simulator prices every
+        # shape, in either order, and each epoch must equal both a fresh
+        # simulator's and the per-step oracle's exactly.
+        shapes = self.GROWN_SHAPES
+        if order == "short-first":
+            shapes = shapes[::-1]
+        simulator = build_system(system, shard)
+        for shape in shapes:
+            workload = Workload(*shape, "grown")
+            epoch = priced_epoch(simulator, workload)
+            # ALISA's schedule depends on solver history; a twin sharing
+            # the schedule cache solves each shape the same way and
+            # differs only in its (fresh) step table.
+            twin = {"schedule_cache": simulator.schedule_cache} if isinstance(
+                simulator, AlisaSystem) else {}
+            fresh = priced_epoch(build_system(system, shard, **twin),
+                                 workload)
+            for field in EpochTimings.__dataclass_fields__:
+                assert np.array_equal(getattr(epoch, field),
+                                      getattr(fresh, field)), (shape, field)
+            reference, link = stepwise_reference(simulator, workload)
+            assert_matches_step_loop(epoch, reference, link, shape)
 
     def test_scheduler_plan_epoch_matches_plan_step(self):
         # Direct pin of the vectorized Algorithm 2 (all three phases).

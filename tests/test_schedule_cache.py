@@ -31,6 +31,7 @@ from repro.core.scheduler import SchedulerConfig
 from repro.core.swa import SWAConfig
 from repro.hardware.presets import V100_16GB_NODE
 from repro.workloads.descriptors import Workload
+from tests.oracles import nearest_by_scan
 
 MODEL = "opt-6.7b"
 SWA = SWAConfig.from_sparsity(0.8)
@@ -128,6 +129,17 @@ class TestCachedSchedule:
         assert entry.distance(near) < entry.distance(far)
 
 
+def canonical_entry(workload: Workload) -> CachedSchedule:
+    return CachedSchedule.from_config(SchedulerConfig(0.5, 0.0, 0, 0),
+                                      workload, 100, 1.0)
+
+
+#: Interleaved contexts, one a prefix of another.
+CONTEXTS = [("a",), ("b",), ("a", "b")]
+SMALL_SHAPES = st.tuples(st.integers(1, 4), st.integers(1, 12),
+                         st.integers(1, 12))
+
+
 class TestScheduleCache:
     def test_exact_hit_returns_stored_solution(self, opt_cost_model):
         cache = ScheduleCache()
@@ -158,11 +170,59 @@ class TestScheduleCache:
 
     def test_clear_resets_entries_and_stats(self):
         cache = ScheduleCache()
+        workload = Workload(8, 128, 128, "w")
+        policy = SchedulePolicy()
         cache.store_exact(("k",), object())
         cache.lookup_exact(("k",))
+        cache.store_canonical(cache.canonical_key(("a",), policy, workload),
+                              canonical_entry(workload))
         cache.clear()
         assert len(cache) == 0
         assert cache.stats.exact_hits == 0
+        # The nearest-entry index is emptied too, and restarts cleanly.
+        assert cache.nearest(("a",), workload) is None
+        fresh = canonical_entry(Workload(2, 64, 64, "w"))
+        cache.store_canonical(cache.canonical_key(("a",), policy, workload),
+                              fresh)
+        assert cache.nearest(("a",), workload) is fresh
+
+    def test_nearest_breaks_ties_by_insertion_order(self):
+        cache = ScheduleCache()
+        workload = Workload(4, 100, 50, "w")
+        first, second = (canonical_entry(workload),
+                         canonical_entry(workload))
+        # The same solved shape under two bucket policies: equal distances.
+        for policy, entry in ((SchedulePolicy(input_bucket=128), first),
+                              (SchedulePolicy(input_bucket=64), second)):
+            cache.store_canonical(
+                cache.canonical_key(("a",), policy, workload), entry)
+        assert cache.nearest(("a",), Workload(4, 90, 50, "w")) is first
+        # Re-storing a key keeps its insertion position.
+        replaced = canonical_entry(workload)
+        cache.store_canonical(cache.canonical_key(
+            ("a",), SchedulePolicy(input_bucket=128), workload), replaced)
+        assert cache.nearest(("a",), Workload(4, 90, 50, "w")) is replaced
+
+    @given(stores=st.lists(st.tuples(st.sampled_from(CONTEXTS), SMALL_SHAPES,
+                                     st.sampled_from([1, 8, 64])),
+                           max_size=40),
+           queries=st.lists(SMALL_SHAPES, min_size=1, max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_nearest_returns_the_scans_entry(self, stores, queries):
+        # Small shapes and coarse buckets make equal distances and re-stored
+        # keys common; the contexts interleave in random insertion order.
+        cache = ScheduleCache()
+        for context, shape, bucket in stores:
+            workload = Workload(*shape, "w")
+            policy = SchedulePolicy(input_bucket=bucket, output_bucket=bucket)
+            cache.store_canonical(
+                cache.canonical_key(context, policy, workload),
+                canonical_entry(workload))
+        for context in CONTEXTS + [("unseen",)]:
+            for shape in queries:
+                workload = Workload(*shape, "q")
+                assert (cache.nearest(context, workload)
+                        is nearest_by_scan(cache, context, workload))
 
 
 def alisa(policy=None, cache=None) -> AlisaSystem:
@@ -227,6 +287,24 @@ class TestAlisaIncrementalPrepare:
         second.prepare(workload)
         assert cache.stats.exact_hits == 1
         assert cache.stats.full_solves == 1
+
+    def test_bucket_sizes_namespace_canonical_entries(self):
+        # A 128-token-bucket system's canonical entry for (8, 10, 10) sits
+        # under the bucketed shape (8, 128, 128) -- which (8, 120, 120)
+        # also buckets to with 64-token buckets.  The 64-token system must
+        # not take it: (8, 10, 10) is 110 tokens outside its own bucket.
+        cache = ScheduleCache()
+        coarse = SchedulePolicy(input_bucket=128, output_bucket=128)
+        alisa(coarse, cache).prepare(Workload(8, 10, 10, "w"))
+        fine = alisa(SchedulePolicy(), cache)
+        fine.prepare(Workload(8, 120, 120, "w"))
+        assert cache.stats.canonical_hits == 0
+        # Seeding from the nearest solved shape may still cross buckets.
+        assert cache.stats.warm_solves == 1
+        # Each policy still hits its own canonical entries.
+        alisa(coarse, cache).prepare(Workload(8, 12, 12, "w"))
+        fine.prepare(Workload(8, 119, 119, "w"))
+        assert cache.stats.canonical_hits == 2
 
     def test_ablation_flags_namespace_the_cache(self):
         cache = ScheduleCache()

@@ -13,7 +13,9 @@ from repro.core.schedule_cache import (
 )
 from repro.evaluation.metrics import percentiles, serving_goodput
 from repro.experiments import list_experiments, run_experiment
+from repro.experiments.serving import SOLVER_STAT_COLUMNS
 from repro.hardware.presets import V100_16GB_NODE
+from repro.obs import Observer
 from repro.serving import (
     ContinuousBatchingEngine,
     RequestRecord,
@@ -367,6 +369,38 @@ class TestServingExperiment:
                    for row in alisa_rows)
         for row in result.filter(system="vllm"):
             assert row["solver_full_solves"] == 0
+
+    #: Per-row solver counters and epoch-cache traffic of a small fixed
+    #: ShareGPT sweep, in row order (flexgen, vllm, alisa per rate).  They
+    #: count work, not simulated time, so they hold on any machine; a
+    #: speed change that alters them (a different warm-start seed, a
+    #: missed memo) changes what the simulator does.
+    WORK_COUNTS = [
+        ((0, 0, 0, 0, 0), {"hits": 0, "misses": 113}),
+        ((0, 0, 0, 0, 0), {"hits": 0, "misses": 113}),
+        ((5, 62, 107, 1, 938), {"hits": 0, "misses": 115}),
+        ((0, 0, 0, 0, 0), {"hits": 1, "misses": 69}),
+        ((0, 0, 0, 0, 0), {"hits": 1, "misses": 71}),
+        ((0, 24, 65, 0, 558), {"hits": 1, "misses": 80}),
+    ]
+
+    def test_sharegpt_sweep_work_counts_are_pinned(self):
+        epoch_caches = []
+
+        class EpochCacheProbe(Observer):
+            def finish(self, trace, class_slos=None):
+                epoch_caches.append(trace.metadata["epoch_cache"])
+
+        result = run_experiment("serving_rate_sweep", rates=(0.5, 4.0),
+                                num_requests=60, input_len=None,
+                                output_len=None, seed=2,
+                                observers=lambda: [EpochCacheProbe()])
+        counts = [(tuple(row[f"solver_{name}"]
+                         for name in SOLVER_STAT_COLUMNS), epoch_cache)
+                  for row, epoch_cache in zip(result.rows, epoch_caches)]
+        assert [row["system"] for row in result.rows] == [
+            "flexgen", "vllm", "alisa"] * 2
+        assert counts == self.WORK_COUNTS
 
     def test_exact_schedules_knob_is_recorded(self):
         result = run_experiment("serving_rate_sweep", rates=(4.0,),
