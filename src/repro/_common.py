@@ -74,7 +74,7 @@ def dtype_bytes(name: str) -> float:
 def validate_positive(**kwargs: float) -> None:
     """Raise :class:`ConfigurationError` unless every named value is > 0."""
     for name, value in kwargs.items():
-        if value is None or value <= 0:
+        if value is None or not value > 0:  # `not > 0` also rejects NaN
             raise ConfigurationError(f"{name} must be positive, got {value!r}")
 
 

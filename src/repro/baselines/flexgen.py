@@ -69,24 +69,11 @@ class FlexGenSystem(InferenceSimulator):
             offload_kv_tokens=cpu_tokens,
         )
 
-    def plan_decode_step(self, step: int, workload: Workload) -> SystemStepPlan:
-        seq_len = workload.input_len + step + 1
-        cpu_tokens = self._cpu_fraction * seq_len
-        return SystemStepPlan(
-            phase=PHASE_STATIC,
-            kv_gpu_tokens=seq_len - cpu_tokens,
-            kv_cpu_tokens=cpu_tokens,
-            # Dense attention touches every token: the CPU-resident share is
-            # processed CPU-side next to the data (FlexGen's CPU attention
-            # delegation), and the new token's CPU share is written back —
-            # the static schedule of Figure 7 (a).
-            cpu_attention_tokens=cpu_tokens,
-            offload_kv_tokens=self._cpu_fraction,
-        )
-
     def plan_decode_epoch(self, workload: Workload) -> EpochPlan:
         seq = workload.input_len + np.arange(workload.output_len) + 1
         cpu_tokens = self._cpu_fraction * seq
+        # Dense attention: the CPU share is attended CPU-side next to the
+        # data and each new token's CPU share is written back (Figure 7 a).
         return EpochPlan(
             phases=(PHASE_STATIC,) * workload.output_len,
             kv_gpu_tokens=seq - cpu_tokens,

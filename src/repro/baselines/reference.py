@@ -42,11 +42,6 @@ class GPUOnlySystem(InferenceSimulator):
                               kv_gpu_tokens=workload.input_len,
                               kv_cpu_tokens=0.0)
 
-    def plan_decode_step(self, step: int, workload: Workload) -> SystemStepPlan:
-        seq_len = workload.input_len + step + 1
-        return SystemStepPlan(phase=PHASE_STATIC, kv_gpu_tokens=seq_len,
-                              kv_cpu_tokens=0.0)
-
     def plan_decode_epoch(self, workload: Workload) -> EpochPlan:
         seq = _decode_seq_lens(workload)
         return EpochPlan(phases=(PHASE_STATIC,) * workload.output_len,
@@ -66,16 +61,6 @@ class AccelerateSystem(InferenceSimulator):
         return SystemStepPlan(phase=PHASE_STATIC, kv_gpu_tokens=0.0,
                               kv_cpu_tokens=workload.input_len,
                               offload_kv_tokens=workload.input_len)
-
-    def plan_decode_step(self, step: int, workload: Workload) -> SystemStepPlan:
-        seq_len = workload.input_len + step + 1
-        return SystemStepPlan(
-            phase=PHASE_STATIC,
-            kv_gpu_tokens=0.0,
-            kv_cpu_tokens=seq_len,
-            load_kv_tokens=float(seq_len - 1),
-            offload_kv_tokens=1.0,
-        )
 
     def plan_decode_epoch(self, workload: Workload) -> EpochPlan:
         seq = _decode_seq_lens(workload)
@@ -107,13 +92,6 @@ class DeepSpeedZeroSystem(InferenceSimulator):
         return SystemStepPlan(
             phase=PHASE_STATIC, kv_gpu_tokens=workload.input_len,
             kv_cpu_tokens=0.0,
-            extra_h2d_bytes=self.cost_model.weight_bytes(),
-        )
-
-    def plan_decode_step(self, step: int, workload: Workload) -> SystemStepPlan:
-        seq_len = workload.input_len + step + 1
-        return SystemStepPlan(
-            phase=PHASE_STATIC, kv_gpu_tokens=seq_len, kv_cpu_tokens=0.0,
             extra_h2d_bytes=self.cost_model.weight_bytes(),
         )
 

@@ -86,13 +86,6 @@ class VLLMSystem(InferenceSimulator):
             kv_gpu_tokens=workload.input_len, kv_cpu_tokens=0.0,
         )
 
-    def plan_decode_step(self, step: int, workload: Workload) -> SystemStepPlan:
-        seq_len = workload.input_len + step + 1
-        return SystemStepPlan(
-            phase=PHASE_GPU if self._waves == 1 else PHASE_WAVES,
-            kv_gpu_tokens=seq_len, kv_cpu_tokens=0.0,
-        )
-
     def plan_decode_epoch(self, workload: Workload) -> EpochPlan:
         seq = workload.input_len + np.arange(workload.output_len) + 1
         phase = PHASE_GPU if self._waves == 1 else PHASE_WAVES

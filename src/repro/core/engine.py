@@ -254,8 +254,6 @@ class AlisaSystem(InferenceSimulator):
                 phase=plan.phase,
                 kv_gpu_tokens=plan.tokens_gpu,
                 kv_cpu_tokens=plan.tokens_cpu,
-                kept_kv=plan.kept_tokens,
-                local_window=plan.kept_local,
                 offload_kv_tokens=plan.offload_tokens,
                 quantize_tokens=self._quantized(plan.offload_tokens),
             )
@@ -268,58 +266,15 @@ class AlisaSystem(InferenceSimulator):
             quantize_tokens=self._quantized(cpu_tokens),
         )
 
-    def plan_decode_step(self, step: int, workload: Workload) -> SystemStepPlan:
-        seq_len = workload.input_len + step + 1
-        num_local, num_global = self.swa.split_budget(seq_len)
-        kept = num_local + num_global
-
-        if self.use_dynamic_scheduling:
-            if self._scheduler is None:
-                raise ConfigurationError("prepare() must run before planning")
-            plan = self._scheduler.plan_step(step)
-            moved = plan.load_tokens + plan.offload_tokens
-            return SystemStepPlan(
-                phase=plan.phase,
-                kv_gpu_tokens=plan.tokens_gpu,
-                kv_cpu_tokens=plan.tokens_cpu,
-                kept_kv=plan.kept_tokens,
-                local_window=plan.kept_local,
-                load_kv_tokens=plan.load_tokens,
-                offload_kv_tokens=plan.offload_tokens,
-                recompute_tokens=plan.recompute_tokens,
-                quantize_tokens=self._quantized(moved),
-            )
-
-        # Static ablation: fixed split, sparse attention, no recomputation.
-        # The CPU share of the cache grows with the sequence; only the newly
-        # offloaded tokens — this step's delta over the share resident after
-        # the previous step (prefill left `fraction * input_len` there) —
-        # cross PCIe and pay quantization.
-        cpu_tokens = self._static_cpu_fraction * seq_len
-        newly_offloaded = cpu_tokens - self._static_cpu_fraction * (seq_len - 1)
-        non_local = max(1, seq_len - num_local)
-        cpu_fraction_of_candidates = min(1.0, cpu_tokens / non_local)
-        load_tokens = num_global * cpu_fraction_of_candidates
-        return SystemStepPlan(
-            phase=PHASE_GPU if cpu_tokens == 0 else PHASE_GPU_CPU,
-            kv_gpu_tokens=seq_len - cpu_tokens,
-            kv_cpu_tokens=cpu_tokens,
-            kept_kv=kept,
-            local_window=num_local,
-            load_kv_tokens=load_tokens,
-            offload_kv_tokens=newly_offloaded,
-            quantize_tokens=self._quantized(load_tokens + newly_offloaded),
-        )
-
     def plan_decode_epoch(self, workload: Workload) -> EpochPlan:
-        """Array-wise decode plans for a whole epoch (the pricing fast path).
+        """Array-wise decode plans for a whole epoch.
 
-        Vectorized equivalent of calling :meth:`plan_decode_step` once per
-        step: the dynamic-scheduling path delegates to
-        :meth:`~repro.core.scheduler.DynamicScheduler.plan_epoch` and the
-        static ablation evaluates its closed-form split elementwise.  Does
-        not consume scheduler steps, so it can be re-invoked after a fresh
-        ``prepare``/``plan_prefill`` like the step loop can.
+        The dynamic-scheduling path delegates to
+        :meth:`~repro.core.scheduler.DynamicScheduler.plan_epoch` over the
+        SWA split of :meth:`decode_attention_split`; the static ablation
+        evaluates its closed-form split elementwise.  Does not consume
+        scheduler steps, so it can be re-invoked after a fresh
+        ``prepare``/``plan_prefill``.
         """
         num_steps = workload.output_len
         if self.use_dynamic_scheduling:
@@ -339,8 +294,9 @@ class AlisaSystem(InferenceSimulator):
                 quantize_tokens=moved if self.use_compression else None,
             )
 
-        # Static ablation: fixed split, sparse attention, no recomputation
-        # (the closed form of plan_decode_step, elementwise over steps).
+        # Static ablation: fixed split, sparse attention, no recomputation.
+        # Only each step's growth of the CPU share (prefill left
+        # `fraction * input_len` there) crosses PCIe and pays quantization.
         seq = workload.input_len + np.arange(num_steps) + 1
         num_local, num_global = self.step_table.split(workload.input_len,
                                                       num_steps)

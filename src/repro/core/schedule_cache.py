@@ -104,6 +104,11 @@ class SchedulePolicy:
     max_refine_rounds: int = 3
 
     def __post_init__(self) -> None:
+        for name in ("input_bucket", "output_bucket", "max_refine_rounds"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)):
+                raise ConfigurationError(
+                    f"{name} must be an integer, got {value!r}")
         validate_positive(input_bucket=self.input_bucket,
                           output_bucket=self.output_bucket,
                           max_refine_rounds=self.max_refine_rounds)

@@ -9,9 +9,10 @@ PCIe link charges every byte moved between CPU and GPU.
 A concrete system implements two hooks:
 
 * :meth:`InferenceSimulator.plan_prefill` — where the prompt's KV tensors go;
-* :meth:`InferenceSimulator.plan_decode_step` — what moves at each step.
+* :meth:`InferenceSimulator.plan_decode_epoch` — what moves at each step.
 
-Both return a :class:`SystemStepPlan`; the base class turns plans into
+The first returns a :class:`SystemStepPlan`, the second an array-wise
+:class:`EpochPlan`; the base class prices them into
 :class:`~repro.systems.trace.StepTiming` records and an
 :class:`~repro.systems.trace.InferenceTrace`.  Per-step GPU compute depends
 only on ``(batch, seq_len)`` and the system's attention pattern, so each
@@ -20,9 +21,7 @@ ALISA's offline scheduler both slice.  The pricing helpers
 (:meth:`InferenceSimulator.prefill_timing`,
 :meth:`InferenceSimulator.epoch_timings`) are also driven by the online
 serving engine (:mod:`repro.serving.engine`), which manages request
-admission and KV residency itself.  :meth:`InferenceSimulator.step_timing`
-prices one step; it is the per-step reference the vectorized epoch
-pricing is pinned against.
+admission and KV residency itself.
 """
 
 from __future__ import annotations
@@ -49,33 +48,29 @@ KV_CPU = "kv-cache-cpu"
 
 @dataclass(frozen=True)
 class SystemStepPlan:
-    """Placement and movement decisions for one step of a simulated system."""
+    """Placement and movement decisions of a simulated system's prefill."""
 
     phase: str
     kv_gpu_tokens: float
     kv_cpu_tokens: float
-    kept_kv: int | None = None
-    local_window: int = 0
     load_kv_tokens: float = 0.0
     offload_kv_tokens: float = 0.0
-    recompute_tokens: float = 0.0
     quantize_tokens: float = 0.0
-    cpu_attention_tokens: float = 0.0
     extra_h2d_bytes: float = 0.0
-    extra_overhead_s: float = 0.0
 
 
 @dataclass(frozen=True)
 class EpochPlan:
     """Vectorized decode-step plans for one fixed-composition epoch.
 
-    The array-of-structs counterpart of a list of
-    :class:`SystemStepPlan` records: one entry per decode step, with the
-    same field semantics.  ``None`` fields mean "all zeros", so simple
-    systems do not have to materialize zero arrays (and epoch pricing
-    skips the terms they would feed).  The attention pattern is not a
-    plan field: it is a function of the sequence length alone, declared
-    once by :meth:`InferenceSimulator.decode_attention_split`.
+    One entry per decode step.  The token fields mean what they mean on
+    a :class:`SystemStepPlan`; ``recompute_tokens`` are recomputed from
+    the activations on the GPU and ``cpu_attention_tokens`` are attended
+    CPU-side next to the data.  ``None`` fields mean "all zeros", so
+    simple systems do not have to materialize zero arrays (and epoch
+    pricing skips the terms they would feed).  The attention pattern is
+    not a plan field: it is a function of the sequence length alone,
+    declared once by :meth:`InferenceSimulator.decode_attention_split`.
     """
 
     phases: tuple[str, ...]
@@ -87,36 +82,10 @@ class EpochPlan:
     quantize_tokens: np.ndarray | None = None
     cpu_attention_tokens: np.ndarray | None = None
     extra_h2d_bytes: np.ndarray | None = None
-    extra_overhead_s: np.ndarray | None = None
 
     @property
     def num_steps(self) -> int:
         return len(self.phases)
-
-    @classmethod
-    def from_step_plans(cls, plans: list[SystemStepPlan]) -> "EpochPlan":
-        """Pack per-step :class:`SystemStepPlan` records into arrays.
-
-        This is the generic-fallback packer used for simulators that only
-        implement :meth:`InferenceSimulator.plan_decode_step`.  The steps'
-        ``kept_kv``/``local_window`` are not packed: epoch pricing reads
-        the attention pattern from
-        :meth:`InferenceSimulator.decode_attention_split`, which must
-        agree with them.
-        """
-        return cls(
-            phases=tuple(plan.phase for plan in plans),
-            kv_gpu_tokens=np.array([p.kv_gpu_tokens for p in plans]),
-            kv_cpu_tokens=np.array([p.kv_cpu_tokens for p in plans]),
-            load_kv_tokens=np.array([p.load_kv_tokens for p in plans]),
-            offload_kv_tokens=np.array([p.offload_kv_tokens for p in plans]),
-            recompute_tokens=np.array([p.recompute_tokens for p in plans]),
-            quantize_tokens=np.array([p.quantize_tokens for p in plans]),
-            cpu_attention_tokens=np.array([p.cpu_attention_tokens
-                                           for p in plans]),
-            extra_h2d_bytes=np.array([p.extra_h2d_bytes for p in plans]),
-            extra_overhead_s=np.array([p.extra_overhead_s for p in plans]),
-        )
 
 
 @dataclass(frozen=True)
@@ -124,12 +93,11 @@ class EpochTimings:
     """Vectorized pricing of every decode step of one epoch.
 
     Produced by :meth:`InferenceSimulator.epoch_timings`; one array entry
-    per step, field-for-field identical to the :class:`StepTiming` records
-    the step loop would produce (``gpu_used_bytes``/``cpu_used_bytes`` are
-    filled in by :meth:`InferenceSimulator.run` after applying memory).
+    per step, field for field the :class:`StepTiming` record of that step
+    (``gpu_used_bytes``/``cpu_used_bytes`` are filled in by
+    :meth:`InferenceSimulator.run` after applying memory).
     ``h2d_bytes``/``d2h_bytes`` are the per-step PCIe link traffic
-    (reloads plus any extra host-to-device bytes, and offloads) that the
-    step loop would have recorded on ``memory.link``.
+    (reloads plus any extra host-to-device bytes, and offloads).
     """
 
     sequence_lengths: np.ndarray
@@ -281,10 +249,6 @@ class InferenceSimulator(ABC):
     def plan_prefill(self, workload: Workload) -> SystemStepPlan:
         """Place the prompt's KV tensors after the prefilling stage."""
 
-    @abstractmethod
-    def plan_decode_step(self, step: int, workload: Workload) -> SystemStepPlan:
-        """Plan decoding step ``step`` (0-based)."""
-
     def prepare(self, workload: Workload) -> None:
         """Reset any per-run state before a simulation (optional hook).
 
@@ -304,28 +268,24 @@ class InferenceSimulator(ABC):
         """
         return {}
 
+    @abstractmethod
     def plan_decode_epoch(self, workload: Workload) -> EpochPlan:
-        """Plan every decode step of ``workload`` in one call.
+        """Plan all ``output_len`` decode steps of ``workload`` array-wise.
 
-        Concrete systems override this with an array-wise implementation of
-        their per-step formula; this generic fallback loops
-        :meth:`plan_decode_step` so third-party simulators keep working
-        unchanged (they still get vectorized *pricing* via
-        :meth:`epoch_timings`, just not vectorized planning).
+        Called after :meth:`prepare` and :meth:`plan_prefill`; must not
+        consume planner state, so an epoch can be re-planned after a fresh
+        ``prepare``.
         """
-        plans = [self.plan_decode_step(step, workload)
-                 for step in range(workload.output_len)]
-        return EpochPlan.from_step_plans(plans)
 
     def decode_attention_split(self, seq_lens: np.ndarray
                                ) -> tuple[np.ndarray, np.ndarray] | None:
         """Kept ``(num_local, num_global)`` tokens of a decode step at each
         sequence length, or ``None`` for dense attention (the default).
 
-        The attention pattern of every decode step, as a function of the
-        sequence length alone: the :attr:`step_table` prices compute from
-        it, so it must agree with the ``kept_kv``/``local_window`` of
-        :meth:`plan_decode_step` (ALISA returns its SWA split).
+        The one declaration of a system's decode attention pattern, as a
+        function of the sequence length alone: the :attr:`step_table`
+        prices compute from it and planners slice it (ALISA returns its
+        SWA split).
         """
         return None
 
@@ -381,15 +341,6 @@ class InferenceSimulator(ABC):
         memory.gpu.resize(KV_GPU, plan.kv_gpu_tokens * per_token)
         memory.cpu.resize(KV_CPU, plan.kv_cpu_tokens * per_token)
 
-    def _transfer_time(self, plan: SystemStepPlan, workload: Workload,
-                       memory: MemoryHierarchy) -> float:
-        per_token = self.kv_token_bytes(workload)
-        time = 0.0
-        time += memory.link.host_to_device(plan.load_kv_tokens * per_token
-                                           + plan.extra_h2d_bytes)
-        time += memory.link.device_to_host(plan.offload_kv_tokens * per_token)
-        return time
-
     def prefill_timing(self, plan: SystemStepPlan, workload: Workload,
                        memory: MemoryHierarchy) -> float:
         """Wall-clock time of the prefilling stage under ``plan``.
@@ -400,71 +351,30 @@ class InferenceSimulator(ABC):
         """
         compute = self.cost_model.prefill_time(workload.batch_size,
                                                workload.input_len)
-        transfer = self._transfer_time(plan, workload, memory)
-        overhead = plan.extra_overhead_s
-        if plan.quantize_tokens > 0:
-            overhead += self.cost_model.quantize_time(
-                workload.batch_size, int(round(plan.quantize_tokens))
-            )
-        return compute + transfer + overhead
-
-    def step_timing(self, plan: SystemStepPlan, step: int, workload: Workload,
-                    memory: MemoryHierarchy) -> StepTiming:
-        """Price one decode-step plan into a :class:`StepTiming`.
-
-        Pure pricing: PCIe traffic is recorded on ``memory.link`` but no
-        capacity is allocated, so callers that manage residency themselves
-        (the continuous-batching serving engine) can reuse the exact
-        accounting of :meth:`run`.  ``gpu_used_bytes``/``cpu_used_bytes`` are
-        left zero; :meth:`run` fills them in after applying the plan.
-        """
-        seq_len = workload.input_len + step + 1
         per_token = self.kv_token_bytes(workload)
-        compute = self.cost_model.decode_step_time(
-            workload.batch_size, kv_len=seq_len, kept_kv=plan.kept_kv,
-            local_window=plan.local_window,
-        )
-        transfer = self._transfer_time(plan, workload, memory)
-        recompute = self.cost_model.recompute_time(
-            workload.batch_size, int(round(plan.recompute_tokens))
-        )
-        if self.overlap_io:
-            transfer = max(0.0, transfer - compute - recompute)
-        if plan.cpu_attention_tokens > 0:
-            # Attention over CPU-resident KV is computed CPU-side and
-            # sits on the critical path (counted as KV-caching time).
-            transfer += self.cost_model.cpu_attention_time(
-                workload.batch_size, plan.cpu_attention_tokens,
-                self.kv_dtype,
-            )
-        overhead = plan.extra_overhead_s
+        transfer = (memory.link.host_to_device(plan.load_kv_tokens * per_token
+                                               + plan.extra_h2d_bytes)
+                    + memory.link.device_to_host(plan.offload_kv_tokens
+                                                 * per_token))
+        overhead = 0.0
         if plan.quantize_tokens > 0:
-            overhead += self.cost_model.quantize_time(
-                workload.batch_size, int(round(plan.quantize_tokens))
-            )
-        return StepTiming(
-            step=step, sequence_length=seq_len, phase=plan.phase,
-            compute_time=compute, transfer_time=transfer,
-            recompute_time=recompute, overhead_time=overhead,
-            gpu_kv_bytes=plan.kv_gpu_tokens * per_token,
-            cpu_kv_bytes=plan.kv_cpu_tokens * per_token,
-            bytes_offloaded=plan.offload_kv_tokens * per_token,
-            bytes_reloaded=plan.load_kv_tokens * per_token,
-        )
+            overhead = self.cost_model.quantize_time(
+                workload.batch_size, int(round(plan.quantize_tokens)))
+        return compute + transfer + overhead
 
     def epoch_timings(self, workload: Workload,
                       link: PCIeLink | None = None) -> EpochTimings:
         """Price all ``output_len`` decode steps of ``workload`` at once.
 
-        The vectorized counterpart of calling :meth:`plan_decode_step` +
-        :meth:`step_timing` once per step: GPU compute is a slice of the
+        Prices :meth:`plan_decode_epoch`: GPU compute is a slice of the
         :attr:`step_table`, and every other per-step formula is applied
-        array-wise in the same operation order, so the resulting arrays
-        are bit-identical to the step loop's values (pinned by
-        ``tests/test_epoch_pricing.py``).  Plan fields left ``None`` price
-        as zero without calling the cost model.  Pure pricing — no memory
-        is allocated and no traffic is recorded; ``link`` only supplies
-        the PCIe latency/bandwidth (defaults to the node's own link).
+        array-wise, so each entry is bit-identical to pricing that step
+        alone with the scalar cost model (pinned against the per-step
+        oracle by ``tests/test_epoch_pricing.py``).  Plan fields left
+        ``None`` price as zero without calling the cost model.  Pure
+        pricing — no memory is allocated and no traffic is recorded;
+        ``link`` only supplies the PCIe latency/bandwidth (defaults to the
+        node's own link).
         """
         plan = self.plan_decode_epoch(workload)
         num_steps = plan.num_steps
@@ -504,8 +414,7 @@ class InferenceSimulator(ABC):
         if plan.cpu_attention_tokens is not None:
             transfer = transfer + cost_model.cpu_attention_time_batch(
                 batch_size, plan.cpu_attention_tokens, self.kv_dtype)
-        overhead = (zeros if plan.extra_overhead_s is None
-                    else plan.extra_overhead_s)
+        overhead = zeros
         if plan.quantize_tokens is not None:
             quantized = plan.quantize_tokens
             overhead = overhead + np.where(
@@ -534,9 +443,8 @@ class InferenceSimulator(ABC):
     def run(self, workload: Workload) -> InferenceTrace:
         """Simulate one end-to-end inference run of ``workload``.
 
-        Decode steps are priced through the vectorized epoch fast path
-        (:meth:`epoch_timings`); traces are bit-identical to pricing each
-        step with :meth:`plan_decode_step` + :meth:`step_timing` (pinned
+        Decode steps are priced in one :meth:`epoch_timings` call; traces
+        are bit-identical to planning and pricing each step alone (pinned
         against the per-step oracle in ``tests/test_epoch_pricing.py``).
         """
         memory = MemoryHierarchy.from_hardware(self.hardware)

@@ -1,9 +1,9 @@
 """Slow, independent reference implementations the fast paths are pinned to.
 
 Nothing under ``src/`` imports this package; tests and benchmarks compare
-the production serving and offline paths against it with exact ``==``,
-the streaming percentile sketches against the exact order statistic, and
-the schedule cache's indexed nearest-entry lookup against a linear scan.
+the production serving, offline and epoch-pricing paths against it with
+exact ``==``, the streaming percentile sketches against the exact order
+statistic, and the schedule cache's nearest lookup against a linear scan.
 """
 
 from .quantiles import within_sketch_bound

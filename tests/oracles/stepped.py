@@ -10,7 +10,7 @@ re-expression of the slower code kept here, and the golden pins in
 the two with exact ``==``:
 
 * :class:`SteppedEngine` prices every decode epoch step by step
-  (``plan_decode_step`` + ``step_timing``) and every prefill pass afresh
+  (:mod:`.step_plans`) and every prefill pass afresh
   on the serve's own link ledger — no price memos.  Its ordinary
   :meth:`~repro.serving.engine.ContinuousBatchingEngine.serve` runs the
   event-driven core on that pricing, and ``ReplicaGroup([SteppedEngine(...),
@@ -23,10 +23,9 @@ the two with exact ``==``:
   vectorized decode swapped for the per-step loop.
 
 To stay independent of what it pins, this module never touches the event
-driver (``EngineRun``, ``drive``, ``serve_replicas``) or the price memos
-(``_epoch_cache``, ``_prefill_prices``); ``tests/test_oracles.py`` checks
-that.  Prefill *plans* still come from the engine's plan cache, as they
-always have on the reference path.
+driver (``EngineRun``, ``drive``, ``serve_replicas``), price memos
+(``_epoch_cache``, ``_prefill_prices``) or epoch pricing, as
+``tests/test_oracles.py`` checks.  Prefill *plans* come from the engine.
 """
 
 from __future__ import annotations
@@ -47,6 +46,8 @@ from repro.systems.simulator import InferenceSimulator
 from repro.systems.trace import InferenceTrace
 from repro.workloads.arrivals import Request
 from repro.workloads.descriptors import Workload
+
+from .step_plans import plan_decode_step, step_timing
 
 
 class SteppedEngine(ContinuousBatchingEngine):
@@ -88,8 +89,8 @@ class SteppedEngine(ContinuousBatchingEngine):
         steps = 0
         first_clock = None
         for step in range(num_steps):
-            plan = simulator.plan_decode_step(step, workload)
-            timing = simulator.step_timing(plan, step, workload, memory)
+            plan = plan_decode_step(simulator, step, workload)
+            timing = step_timing(simulator, plan, step, workload, memory)
             clock += timing.total_time
             steps += 1
             if first_clock is None:
@@ -266,8 +267,8 @@ def _decode_stepwise(simulator: InferenceSimulator, workload: Workload,
                      memory: MemoryHierarchy, trace: InferenceTrace) -> None:
     """The per-step decode loop: plan, price, and ledger one step at a time."""
     for step in range(workload.output_len):
-        plan = simulator.plan_decode_step(step, workload)
-        timing = simulator.step_timing(plan, step, workload, memory)
+        plan = plan_decode_step(simulator, step, workload)
+        timing = step_timing(simulator, plan, step, workload, memory)
         simulator._apply_memory(plan, workload, memory)
         trace.add_step(replace(
             timing,

@@ -63,7 +63,7 @@ class TestValidators:
     def test_validate_positive_accepts_positive(self):
         validate_positive(a=1, b=0.5)
 
-    @pytest.mark.parametrize("value", [0, -1, None])
+    @pytest.mark.parametrize("value", [0, -1, None, float("nan")])
     def test_validate_positive_rejects(self, value):
         with pytest.raises(ConfigurationError):
             validate_positive(x=value)

@@ -391,9 +391,8 @@ class TestCostAccountingRegressions:
         # where in the sequence the step sits, so cumulative offloads
         # reconstruct the resident share exactly.
         system.prepare(workload)
-        previous = system.plan_prefill(workload)
-        for step in range(4):
-            plan = system.plan_decode_step(step, workload)
-            assert plan.offload_kv_tokens == pytest.approx(
-                plan.kv_cpu_tokens - previous.kv_cpu_tokens)
-            previous = plan
+        prefill = system.plan_prefill(workload)
+        epoch = system.plan_decode_epoch(workload)
+        resident = np.concatenate(([prefill.kv_cpu_tokens],
+                                   epoch.kv_cpu_tokens))
+        assert epoch.offload_kv_tokens == pytest.approx(np.diff(resident))

@@ -32,6 +32,7 @@ from repro.systems.simulator import EpochTimings
 from repro.workloads.arrivals import generate_requests
 from repro.workloads.descriptors import Workload
 from tests.oracles import SteppedEngine, run_stepwise
+from tests.oracles.step_plans import plan_decode_step, step_timing
 
 MODEL = "opt-6.7b"
 
@@ -78,8 +79,8 @@ def stepwise_reference(system, workload):
     system.plan_prefill(workload)
     memory = MemoryHierarchy.from_hardware(system.hardware)
     timings = [
-        system.step_timing(system.plan_decode_step(step, workload), step,
-                           workload, memory)
+        step_timing(system, plan_decode_step(system, step, workload), step,
+                    workload, memory)
         for step in range(workload.output_len)
     ]
     return timings, memory.link

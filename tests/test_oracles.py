@@ -1,7 +1,8 @@
 """The test-only oracles in ``tests/oracles`` stay independent and complete.
 
 The oracle is only worth pinning against if it shares none of the code it
-pins: it must never drive the event core or read the price memos.  And
+pins: no event core, price memos, or vectorized planning and pricing (and
+``src/`` keeps no per-step twin of those).  And
 since no serve option is reserved for the production path any more, the
 stepped engine serves every scheduling feature through the event core and
 agrees with the memoized engine on all of them.
@@ -27,18 +28,31 @@ from repro.workloads.sessions import sessions
 from tests.oracles import SteppedEngine
 
 ORACLES = pathlib.Path(__file__).resolve().parent / "oracles"
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
-#: The event driver and the price memos the oracle is pinned against.
+#: The event driver, the price memos, and the vectorized decode planning
+#: and pricing the oracle is pinned against.
 FORBIDDEN = {"EngineRun", "drive", "serve_replicas", "start_run",
-             "_epoch_cache", "_prefill_prices"}
+             "_epoch_cache", "_prefill_prices", "epoch_timings",
+             "plan_decode_epoch", "step_table", "decode_attention_split",
+             "decode_step_time_batch"}
+
+#: The per-step reference only the oracle keeps, and the oracle package.
+ORACLE_ONLY = {"plan_decode_step", "step_timing", "from_step_plans", "tests"}
 
 
-def forbidden_uses(source: str) -> set[str]:
-    """Forbidden names ``source`` imports, references, or reads."""
+def forbidden_uses(source: str, forbidden: set[str] = FORBIDDEN) -> set[str]:
+    """Forbidden names ``source`` imports, defines, references, or reads."""
     found = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
-            names = {alias.name.rsplit(".", 1)[-1] for alias in node.names}
+            # Each imported name, and the top-level package it comes from.
+            paths = [alias.name for alias in node.names]
+            packages = [getattr(node, "module", None) or ""] + paths
+            names = ({path.rsplit(".", 1)[-1] for path in paths}
+                     | {path.split(".", 1)[0] for path in packages})
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = {node.name}
         elif isinstance(node, ast.Attribute):
             names = {node.attr}
         elif isinstance(node, ast.Name):
@@ -47,7 +61,7 @@ def forbidden_uses(source: str) -> set[str]:
             names = {node.value}  # getattr(engine, "_epoch_cache")
         else:
             continue
-        found |= names & FORBIDDEN
+        found |= names & forbidden
     return found
 
 
@@ -67,6 +81,25 @@ class TestOracleIndependence:
         assert forbidden_uses(
             "getattr(engine, '_prefill_prices')") == {"_prefill_prices"}
         assert forbidden_uses("engine.start_run(trace)") == {"start_run"}
+        for name in ("epoch_timings", "plan_decode_epoch", "step_table",
+                     "decode_attention_split", "decode_step_time_batch"):
+            assert forbidden_uses(f"simulator.{name}(workload)") == {name}
+        for source, name in (
+                ("import tests.oracles", "tests"),
+                ("from tests.oracles import run_stepwise", "tests"),
+                ("def plan_decode_step(self, step): ...", "plan_decode_step"),
+                ("simulator.step_timing(plan)", "step_timing"),
+                ("EpochPlan.from_step_plans(plans)", "from_step_plans")):
+            assert forbidden_uses(source, ORACLE_ONLY) == {name}
+
+    def test_src_keeps_no_per_step_reference(self):
+        # One decode planner per system: the per-step planner and pricing
+        # are test-only, and nothing in src/ reaches into tests/.
+        sources = sorted(SRC.rglob("*.py"))
+        assert sources
+        for path in sources:
+            assert forbidden_uses(path.read_text(), ORACLE_ONLY) == set(), \
+                path.relative_to(SRC)
 
 
 MODEL = "opt-6.7b"

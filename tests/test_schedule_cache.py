@@ -98,6 +98,13 @@ class TestSchedulePolicy:
             SchedulePolicy(input_bucket=0)
         with pytest.raises(ConfigurationError):
             SchedulePolicy(tolerance=1.5)
+        # Integer knobs: a float fails late (range(2.5)) or buckets oddly.
+        for knob, value in (("input_bucket", float("nan")),
+                            ("input_bucket", 64.0),
+                            ("output_bucket", float("inf")),
+                            ("max_refine_rounds", 2.5)):
+            with pytest.raises(ConfigurationError):
+                SchedulePolicy(**{knob: value})
 
 
 class TestCachedSchedule:
